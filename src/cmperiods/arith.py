@@ -15,6 +15,8 @@ larger fields falls back to polynomial arithmetic.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import TargetTooSmall
 
 DESK_Q_MAX = 1 << 16
@@ -108,6 +110,17 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def q_split(q):
+    """(p, a) with q = p^a; ValueError unless q is a prime power."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    a = 0
+    while p and q % p**(a + 1) == 0:
+        a += 1
+    if p is None or p**a != q:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, a
 
 
 def is_irreducible(p, coeffs):
@@ -367,13 +380,6 @@ class Fq:
             cur = self.mul(cur, step)
         raise RuntimeError("dlog failed")
 
-    def element_order(self, x):
-        order = self.size - 1
-        for ell in _prime_factors(order):
-            while order % ell == 0 and self.pow(x, order // ell) == 1:
-                order //= ell
-        return order
-
     def digits(self, x):
         """Base-p digit vector of x (length n), used for serialization."""
         if self._vec is not None:
@@ -401,9 +407,6 @@ class Fq:
     def scalar(self, c):
         """Image of the prime-field integer c."""
         return c % self.p
-
-    def in_prime_field(self, x):
-        return x < self.p
 
     def in_base_q(self, x):
         """Whether x lies in the degree-a subfield F_q."""
@@ -456,18 +459,12 @@ class Fq:
             return self
         if self.p != other.p or self.a != other.a:
             raise ValueError("incompatible base fields")
-        mm = self.m * other.m // _gcd(self.m, other.m)
+        mm = self.m * other.m // gcd(self.m, other.m)
         if mm == self.m:
             return self
         if mm == other.m:
             return other
         return Fq.get(self.p, self.a, mm)
-
-
-def _gcd(x, y):
-    while y:
-        x, y = y, x % y
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -779,20 +776,6 @@ class FPoly:
         for k in range(1, len(self.coeffs)):
             out.append(f.mul(f.scalar(k), self.coeffs[k]))
         return FPoly(f, out, self.var)
-
-    def eval(self, x):
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
-    def eval_map(self, fn, add, mul, zero):
-        """Horner evaluation in a foreign ring: fn lifts coefficients."""
-        acc = zero
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc), fn(c))
-        return acc
 
     def monic(self):
         if self.is_zero():

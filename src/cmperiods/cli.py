@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import FPoly, Fq
+from .arith import FPoly, Fq, q_split
 from .cmtypes import (
     CMDivisor,
     CMFieldModel,
@@ -100,13 +100,15 @@ def _humanize(report):
     return "\n".join(lines)
 
 
+def prime_power(text):
+    """Type of --q: the int q, refused (exit 2) unless a prime power."""
+    q = int(text)
+    q_split(q)
+    return q
+
+
 def _field_conventions(q):
-    p = 2
-    while q % p:
-        p += 1
-    a = 0
-    while p**a < q:
-        a += 1
+    p, a = q_split(q)
     fld = Fq.get(p, a, 1)
     return {
         "q": q,
@@ -152,13 +154,7 @@ def _parse_poly(field, text):
 
 
 def _parse_gamma_arg(q, text):
-    p = 2
-    while q % p:
-        p += 1
-    a = 0
-    while p**a < q:
-        a += 1
-    fld = Fq.get(p, a, 1)
+    fld = Fq.get(*q_split(q), 1)
     if "/" in text:
         num, den = text.split("/", 1)
         den = den.strip("()")
@@ -391,20 +387,7 @@ def cmd_legendre(args, t0):
         fibers.setdefault(pts[label].fiber, []).append(value)
     pi = carlitz_period(fx.model.q, args.prec)
     info = cm_weight(fx.xi, list(pts.values()))
-    if args.threads > 1 and len(fibers) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futs = {
-                f: pool.submit(
-                    certify_legendre, {f: vals}, pi, info["weight"],
-                    args.deg, args.height, args.margin,
-                )
-                for f, vals in fibers.items()
-            }
-            certs = {f: fut.result()[f] for f, fut in futs.items()}
-    else:
-        certs = certify_legendre(fibers, pi, info["weight"], D=args.deg, H=args.height, margin=args.margin)
+    certs = certify_legendre(fibers, pi, info["weight"], D=args.deg, H=args.height, margin=args.margin)
     all_pass = all(c["pass"] for c in certs.values())
     payload = {
         "weight": info["weight"],
@@ -451,12 +434,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, example=False):
-        p.add_argument("--q", type=int, default=3)
+        p.add_argument("--q", type=prime_power, default=3)
         p.add_argument("--prec", type=int, default=DEFAULT_PREC)
         p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         if example:
             p.add_argument("--example", choices=FIXTURE_NAMES, required=False)
             p.add_argument("--model", default=None)

@@ -21,8 +21,9 @@ discrete-log index, so labels are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .arith import Fq, poly_roots_in_ext
+from .arith import Fq, poly_roots_in_ext, q_split
 from .errors import (
     GaloisDataInsufficient,
     PrecisionExhausted,
@@ -103,7 +104,7 @@ class CMFieldModel:
 
     def __init__(self, kind, q, E=None, u_coeffs=None, ell=None, name=None):
         self.kind = kind
-        p, a = _q_split(q)
+        p, a = q_split(q)
         self.p, self.a, self.q = p, a, q
         self.base = Fq.get(p, a, 1)
         self.name = name or kind
@@ -315,20 +316,6 @@ class CMFieldModel:
         return out
 
 
-def _q_split(q):
-    p = 2
-    while q % p:
-        p += 1
-    a = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        a += 1
-    if p**a != q:
-        raise ValueError("q must be a prime power")
-    return p, a
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -381,7 +368,7 @@ def _places_from_roots(roots):
         for k, other in enumerate(roots):
             if used[k]:
                 continue
-            lifted = other.lift(other.field.compositum(field), _lcm2(other.e, e))
+            lifted = other.lift(other.field.compositum(field), lcm(other.e, e))
             for img in images:
                 img2 = img.lift(lifted.field, lifted.e)
                 if (img2 - lifted).is_zero():
@@ -392,19 +379,8 @@ def _places_from_roots(roots):
     return classes
 
 
-def _lcm2(x, y):
-    a, b = x, y
-    while b:
-        a, b = b, a % b
-    return x // a * y
-
-
 # ---------------------------------------------------------------------------
 # divisor operations
-
-
-def jk_points(model: CMFieldModel, prec=120):
-    return model.points(prec)
 
 
 def cm_weight(div: CMDivisor, points):

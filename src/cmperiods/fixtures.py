@@ -17,12 +17,13 @@ from .shtuka import (
     DualMotive,
     WPoly,
     WRing,
+    _const_roots,
     build_motive,
     solve_shtuka,
     t_minus_theta,
 )
 from .special import omega_series
-from .tate import TateMatrix
+from .tate import TateMatrix, mat_mul
 from .tmodule import TModule
 
 
@@ -75,16 +76,11 @@ def _wmat(ring, entries):
 
 
 def _wmat_mul(A, B, ring):
-    n, k, m = len(A), len(B), len(B[0])
+    # adding to the zero of ring moves each entry onto ring, which the
+    # identity check in WElem equality needs: factors may come from
+    # different ring objects
     zero = WPoly(ring, [])
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = zero
-            for l in range(k):
-                acc = acc + A[i][l] * B[l][j]
-            out[i][j] = acc
-    return out
+    return [[zero + x for x in row] for row in mat_mul(A, B)]
 
 
 def _wmat_eq(A, B):
@@ -121,7 +117,7 @@ def check_intertwine(U, U_minus, phi_rho, phi_s, ring):
     return True
 
 
-def _check_twist_pair(U, U_minus, ring, prec=60, T=4):
+def _check_twist_pair(U, U_minus, prec=60, T=4):
     """realize(U_minus) must equal the inverse Frobenius twist of realize(U)."""
     for ru, rm in zip(U, U_minus):
         for cu, cm in zip(ru, rm):
@@ -195,7 +191,7 @@ def kummer_fixture(q, T=32, N=200):
         U_minus = _wmat(ring, [[zero, one], [one, -w]])
         U_inv = _wmat(ring, [[-(theta * w), one], [one, zero]])
         check_intertwine(U, U_minus, phi_rho, motive.phi, ring)
-        _check_twist_pair(U, U_minus, ring)
+        _check_twist_pair(U, U_minus)
         _check_inverse_pair(U, U_inv, ring)
         coeffs = [c.realize(N) for c in coeffs_sym]
         cm = [w.realize(N), one.realize(N)]
@@ -232,14 +228,6 @@ def const_ext_fixture(q, ell=2, T=32, N=200):
         tmodule=tmod,
         basis_change=None,
         notes={"tmodule": f"rho_t = theta + tau^{ell} with constants F_(q^{ell})"},
-    )
-
-
-def _const_roots(model):
-    from .arith import poly_roots_in_ext
-
-    return poly_roots_in_ext(
-        list(model.const_field.modulus), model.base, model.const_field, require_all=True
     )
 
 

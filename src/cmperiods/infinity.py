@@ -8,9 +8,10 @@ val(u) = 1/e and val = exponent/e.  This is the computable stand-in for
 the completion of the algebraic closure of F_q((1/theta)).
 
 Precision is absolute, never relative: telescoping-sum arguments for
-quasi-periods need hard tail bounds.  Dense multiplications go through a
-Kronecker-style integer packing so that big products cost one Python
-long multiplication instead of a quadratic dict loop.
+quasi-periods need hard tail bounds.  Dense multiplications, of InfElems
+and of whole t-series alike (tate.py), go through one Kronecker packing
+kernel so that big products cost one Python long multiplication instead
+of a quadratic dict loop.
 
 The same machinery, re-tagged with the variable "t", performs
 factorization over F_q((1/t)) for CM-field validation.
@@ -18,7 +19,10 @@ factorization over F_q((1/t)) for CM-field validation.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from math import gcd, lcm
 
 from .arith import Fq
 from .errors import (
@@ -33,17 +37,7 @@ try:  # GMP multiplication is 40x faster on the megabit integers the
 except ImportError:  # pragma: no cover
     _mpz = int
 
-_PACK_BITS = 32
 _PACK_THRESHOLD = 3000  # len(a)*len(b) above which packing wins
-
-
-def _lcm(x, y):
-    g = x
-    a, b = x, y
-    while b:
-        a, b = b, a % b
-    g = a
-    return x // g * y
 
 
 class InfElem:
@@ -149,7 +143,7 @@ class InfElem:
         if a.var != b.var:
             raise ValueError("mixed series variables")
         field = a.field.compositum(b.field)
-        e = _lcm(a.e, b.e)
+        e = lcm(a.e, b.e)
         return a.lift(field, e), b.lift(field, e)
 
     def truncate(self, prec_units):
@@ -191,19 +185,20 @@ class InfElem:
         if not a.coeffs or not b.coeffs:
             return InfElem(f, a.e, {}, prec, a.var)
         if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD and f.size <= (1 << 12):
-            out = _mul_packed(a, b, prec)
-        else:
-            out = {}
-            for k1, c1 in a.coeffs.items():
-                for k2, c2 in b.coeffs.items():
-                    k = k1 + k2
-                    if k >= prec:
-                        continue
-                    s = f.add(out.get(k, 0), f.mul(c1, c2))
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+            packed = _kronecker_mul([a], [b], 1)
+            if packed is not None:
+                return packed[0]
+        out = {}
+        for k1, c1 in a.coeffs.items():
+            for k2, c2 in b.coeffs.items():
+                k = k1 + k2
+                if k >= prec:
+                    continue
+                s = f.add(out.get(k, 0), f.mul(c1, c2))
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
         return InfElem(f, a.e, out, prec, a.var)
 
     def scale(self, c):
@@ -312,8 +307,8 @@ class InfElem:
         f = self.field
         g = 0
         for k in self.coeffs:
-            g = _gcd2(g, abs(k))
-        scale = s // _gcd2(s, g)
+            g = gcd(g, k)
+        scale = s // gcd(s, g)
         elem = self.lift(f, self.e * scale) if scale > 1 else self
         out = {}
         for k, c in elem.coeffs.items():
@@ -323,7 +318,7 @@ class InfElem:
     def _prime_to_p_root(self, n):
         f = self.field
         L = self.lead_exp
-        g = _gcd2(n, abs(L)) if L else n
+        g = gcd(n, L)
         scale = n // g
         elem = self.lift(f, self.e * scale) if scale > 1 else self
         L = elem.lead_exp
@@ -376,12 +371,6 @@ class InfElem:
         return InfElem(f, obj["e"], coeffs, obj["prec_N"], obj.get("var", "theta"))
 
 
-def _gcd2(x, y):
-    while y:
-        x, y = y, x % y
-    return x
-
-
 def _const_nth_root(field: Fq, c: int, n: int):
     """Smallest canonical constant-field extension containing an n-th root
     of c, together with the canonical (least dlog) root."""
@@ -390,7 +379,7 @@ def _const_nth_root(field: Fq, c: int, n: int):
         big = Fq.get(field.p, field.a, mm) if mult > 1 else field
         cc = field.embed_into(big)(c) if big is not field else c
         order = big.size - 1
-        g = _gcd2(n, order)
+        g = gcd(n, order)
         if big.pow(cc, order // g) != 1:
             continue
         k = big.dlog(cc)
@@ -407,49 +396,108 @@ def _const_nth_root(field: Fq, c: int, n: int):
 # packed dense multiplication
 
 
-def _pack_coeffs(field, items, lead, stride, span):
-    """Little-endian 32-bit-slot packing of {exponent: element} data."""
-    step = _PACK_BITS // 8
-    buf = bytearray(span * stride * step + step)
-    digits = field.digits
-    for k, c in items:
-        base = (k - lead) * stride * step
-        for i, d in enumerate(digits(c)):
-            if d:
-                buf[base + i * step] = d
-    return int.from_bytes(buf, "little")
+def _kronecker_mul(a, b, T):
+    """Product of two t-series to t^T through one Kronecker substitution.
 
-
-def _unpack_product(field, prod, stride, nslots):
-    import struct
-
-    step = _PACK_BITS // 8
-    need = nslots * stride
-    size = max(need * step, (prod.bit_length() + 7) // 8) + step * 8
-    buf = prod.to_bytes(size, "little")
-    return struct.unpack_from(f"<{need}I", buf)
-
-
-def _mul_packed(a: InfElem, b: InfElem, prec: int):
-    f = a.field
-    n = f.n
+    a and b list the InfElem coefficients of t^0, t^1, ... over one field
+    and ramification; an InfElem product is the case T = 1.  The t-index,
+    the u-exponent and the base-p digits of the coefficient field occupy
+    one integer together (Harvey, JSC 2009), so both operands become
+    single Python longs whose product is unpacked slotwise.  Every output
+    index takes its precision from the untrimmed operands by the standard
+    rule min(prec_a + lead_b, prec_b + lead_a).  Only then is each operand
+    coefficient trimmed: a digit of a[i] at exponent x is packed only if
+    x + lead(b[j]) < prec_{i+j} for some nonzero b[j], and symmetrically
+    for b, so trimming drops exactly the digits that cannot reach a kept
+    output digit.  A slot is the narrowest of 8, 16, 32 and 64 bits that
+    holds the accumulation bound (p-1)^2 * n * min(span) * min(len);
+    returns None when even 64 bits do not.
+    """
+    fld = a[0].field
+    e = a[0].e
+    var = a[0].var
+    n = fld.n
     stride = 2 * n - 1
-    la, lb = a.lead_exp, b.lead_exp
-    span_a = max(a.coeffs) - la + 1
-    span_b = max(b.coeffs) - lb + 1
-    pa = _pack_coeffs(f, a.coeffs.items(), la, stride, span_a)
-    pb = _pack_coeffs(f, b.coeffs.items(), lb, stride, span_b)
-    prod = int(_mpz(pa) * _mpz(pb))
-    span = min(prec - (la + lb), span_a + span_b - 1)
-    slots = _unpack_product(f, prod, stride, span)
-    out = {}
-    reduce_digits = f.reduce_digits
-    for j in range(span):
-        vec = slots[j * stride: (j + 1) * stride]
-        if any(vec):
-            c = reduce_digits(vec)
-            if c:
-                out[j + la + lb] = c
+    leads_a = [c.lead_exp for c in a]
+    precs_a = [c.prec for c in a]
+    leads_b = [c.lead_exp for c in b]
+    precs_b = [c.prec for c in b]
+    precs = [
+        min(
+            min(precs_a[i] + leads_b[k - i], precs_b[k - i] + leads_a[i])
+            for i in range(max(0, k - len(b) + 1), min(k + 1, len(a)))
+        )
+        for k in range(T)
+    ]
+
+    def trim(coeffs, other):
+        # digits of coeffs[i] at or above max_j (prec_{i+j} - lead other[j])
+        # over nonzero other[j] reach no kept output digit
+        live = [(j, o.lead_exp) for j, o in enumerate(other) if o.coeffs]
+        out = []
+        for i, c in enumerate(coeffs):
+            cut = max((precs[i + j] - lead for j, lead in live if i + j < T), default=None)
+            if cut is None or not c.coeffs:
+                out.append({})
+            elif max(c.coeffs) < cut:
+                out.append(c.coeffs)
+            else:
+                out.append({k: v for k, v in c.coeffs.items() if k < cut})
+        return out
+
+    def extent(dicts):
+        keys = [k for d in dicts if d for k in (min(d), max(d))]
+        return (min(keys), max(keys)) if keys else (None, None)
+
+    da = trim(a, b)
+    db = trim(b, a)
+    la, ta = extent(da)
+    lb, tb = extent(db)
+    if la is None or lb is None:
+        return [InfElem(fld, e, {}, prec_k, var) for prec_k in precs]
+    span_a = ta - la + 1
+    span_b = tb - lb + 1
+    span = span_a + span_b
+    bound = (fld.p - 1) ** 2 * n * min(span_a, span_b) * min(len(a), len(b))
+    code = next((c for c in "BHIQ" if bound < 1 << (8 * array(c).itemsize)), None)
+    if code is None:
+        return None
+    nslots = T * span * stride
+    size = nslots * array(code).itemsize
+    swap = sys.byteorder == "big"  # the packed integers are little-endian
+
+    def pack(dicts, lead):
+        slots = array(code, [0]) * nslots
+        digits = fld.digits
+        for i, d in enumerate(dicts):
+            base_i = i * span - lead
+            for k, v in d.items():
+                base = (base_i + k) * stride
+                for j, digit in enumerate(digits(v)):
+                    slots[base + j] = digit
+        if swap:
+            slots.byteswap()
+        return _mpz(int.from_bytes(slots, "little"))
+
+    prod = int(pack(da, la) * pack(db, lb))
+    # index pairs i + j >= T spill past the T output indices
+    slots = array(code)
+    slots.frombytes(memoryview(prod.to_bytes(max(size, (prod.bit_length() + 7) // 8), "little"))[:size])
+    if swap:
+        slots.byteswap()
+    out = []
+    reduce_digits = fld.reduce_digits
+    base_exp = la + lb
+    for k in range(T):
+        coeffs_k = {}
+        base = k * span * stride
+        for off in range(min(span, precs[k] - base_exp)):
+            vec = slots[base + off * stride: base + (off + 1) * stride]
+            if any(vec):
+                c = reduce_digits(vec)
+                if c:
+                    coeffs_k[base_exp + off] = c
+        out.append(InfElem(fld, e, coeffs_k, precs[k], var))
     return out
 
 
@@ -475,11 +523,6 @@ def inf_nth_root(a: InfElem, n: int) -> InfElem:
     return a.nth_root(n)
 
 
-def residual_valuation(x: InfElem):
-    """val(x) if x is visibly nonzero, else its precision bound."""
-    return x.residual_val()
-
-
 # ---------------------------------------------------------------------------
 # polynomials with InfElem coefficients and Newton-polygon root finding
 
@@ -496,7 +539,7 @@ def _poly_align(f):
     e = f[0].e
     for c in f[1:]:
         field = field.compositum(c.field)
-        e = _lcm(e, c.e)
+        e = lcm(e, c.e)
     return [c.lift(field, e) for c in f]
 
 
@@ -637,7 +680,7 @@ def _negligible(rem, context):
 def _divide_linear(f, r):
     """Divide f by (y - r); returns (quotient, [remainder])"""
     field = f[0].field.compositum(r.field)
-    e = _lcm(f[0].e, r.e)
+    e = lcm(f[0].e, r.e)
     f = [c.lift(field, e) for c in f]
     r = r.lift(field, e)
     quot = []

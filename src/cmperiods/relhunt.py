@@ -15,9 +15,13 @@ re-verified by direct substitution before it is reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import InsufficientPrecision
-from .infinity import _lcm
+from .errors import CMPeriodsError, InsufficientPrecision
+
+# _kernel_mod_p adds c * base to an entry in one byte lane: up to
+# (p - 1)^2 + (p - 1) = p(p - 1), which stays below 256 only for p <= 13
+KERNEL_P_MAX = 13
 
 
 def _align_values(values):
@@ -25,7 +29,7 @@ def _align_values(values):
     e = values[0].e
     for v in values[1:]:
         fld = fld.compositum(v.field)
-        e = _lcm(e, v.e)
+        e = lcm(e, v.e)
     return [v.lift(fld, e) for v in values], fld, e
 
 
@@ -49,9 +53,7 @@ def _kernel_mod_p(columns, nrows, p):
     """
     ncols = len(columns)
     tbl = bytes(i % p for i in range(256))
-    # row-major elimination on the transpose: unknowns = columns
-    rows = [bytearray(nrows) for _ in range(0)]
-    # work with columns directly: reduce [A | I] column-style
+    # reduce [A | I] column-style: unknowns = columns
     work = [bytearray(col) for col in columns]
     track = []
     for j in range(ncols):
@@ -112,6 +114,8 @@ def find_linear_relations(values, H, margin=20, enforce=True):
     re-verified by direct substitution before being returned.
     """
     values, fld, e = _align_values(values)
+    if fld.p > KERNEL_P_MAX:
+        raise CMPeriodsError(f"relation search works over F_p with p <= {KERNEL_P_MAX}, not p = {fld.p}")
     k = len(values)
     kmin, kmax = _window(values, H, e)
     n = fld.n

@@ -727,12 +727,6 @@ def _const_roots(model):
     )
 
 
-def _const_welem(ring: WRing, c):
-    vec = [RatF.const(ring.cfield, 0)] * ring.E
-    vec[0] = RatF.const(ring.cfield, c)
-    return WElem(ring, tuple(vec))
-
-
 def tensor_motives(m1: DualMotive, m2: DualMotive, prec=120):
     """Tensor over the coordinate ring: shtukas multiply, CM types add."""
     if m1.model is not m2.model:

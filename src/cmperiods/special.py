@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import FPoly, Fq
+from .arith import FPoly, Fq, q_split
 from .errors import PoleArgument
 from .infinity import InfElem, inf_nth_root
 from .tate import Decay, TateSeries
@@ -19,26 +19,12 @@ from .tate import Decay, TateSeries
 
 def _theta_root_setup(q, prec_val):
     """Canonical (-theta)^(1/(q-1)) at the requested valuation precision."""
-    p, a = _q_split(q)
+    p, a = q_split(q)
     base = Fq.get(p, a, 1)
     minus_theta = InfElem.theta(base, prec_val).scale(base.neg(1))
     if q == 2:
         return minus_theta
     return inf_nth_root(minus_theta, q - 1)
-
-
-def _q_split(q):
-    p = 2
-    while q % p:
-        p += 1
-    a = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        a += 1
-    if p**a != q:
-        raise ValueError("q must be a prime power")
-    return p, a
 
 
 def omega_series(q, T, N):

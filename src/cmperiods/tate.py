@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
+from math import ceil, lcm
 
 from .errors import NoDecay
-from .infinity import InfElem, _lcm, _mpz, _pack_coeffs, _unpack_product
+from .infinity import InfElem, _kronecker_mul
 
 
 class Decay:
@@ -96,7 +96,7 @@ class TateSeries:
         e = coeffs[0].e
         for c in coeffs[1:]:
             field = field.compositum(c.field)
-            e = _lcm(e, c.e)
+            e = lcm(e, c.e)
         self.coeffs = [c.lift(field, e) for c in coeffs]
         self.T = len(coeffs)
         self.decay = decay
@@ -147,8 +147,9 @@ class TateSeries:
             decay = self.decay.combine_mul(other.decay)
         nnz_a = sum(1 for c in a if not c.is_zero())
         nnz_b = sum(1 for c in b if not c.is_zero())
-        if min(nnz_a, nnz_b) > 4 and a[0].field is b[0].field and a[0].field.size <= 4096:
-            packed = _series_mul_packed(a, b, T)
+        same = a[0].field is b[0].field and a[0].e == b[0].e
+        if min(nnz_a, nnz_b) > 4 and same and a[0].field.size <= 4096:
+            packed = _kronecker_mul(a, b, T)
             if packed is not None:
                 return TateSeries(packed, decay)
         out = []
@@ -253,103 +254,6 @@ class TateSeries:
         }
 
 
-def _series_mul_packed(a, b, T):
-    """Whole-series product through one joint Kronecker packing.
-
-    The t-index, the u-exponent and the base-p digits of the coefficient
-    field occupy one integer together; both operands become single Python
-    longs whose product is unpacked slotwise.  Every output index takes
-    its precision from the untrimmed operands by the standard rule
-    min(prec_a + lead_b, prec_b + lead_a).  Only then is each operand
-    coefficient trimmed: a digit of a[i] at exponent x is packed only if
-    x + lead(b[j]) < prec_{i+j} for some nonzero b[j], and symmetrically
-    for b, so trimming drops exactly the digits that cannot reach a kept
-    output digit.  Falls back (returns None) when the accumulation bound
-    would overflow a 32-bit slot.
-    """
-    fld = a[0].field
-    e = a[0].e
-    n = fld.n
-    stride_u = 2 * n - 1
-    leads_a = [c.lead_exp for c in a]
-    precs_a = [c.prec for c in a]
-    leads_b = [c.lead_exp for c in b]
-    precs_b = [c.prec for c in b]
-    precs = [
-        min(
-            min(precs_a[i] + leads_b[k - i], precs_b[k - i] + leads_a[i])
-            for i in range(max(0, k - len(b) + 1), min(k + 1, len(a)))
-        )
-        for k in range(T)
-    ]
-
-    def trim(coeffs, other):
-        # digits of coeffs[i] at or above max_j (prec_{i+j} - lead other[j])
-        # over nonzero other[j] reach no kept output digit
-        live = [(j, o.lead_exp) for j, o in enumerate(other) if o.coeffs]
-        out = []
-        for i, c in enumerate(coeffs):
-            cut = max((precs[i + j] - lead for j, lead in live if i + j < T), default=None)
-            if cut is None or not c.coeffs:
-                out.append({})
-            elif max(c.coeffs) < cut:
-                out.append(c.coeffs)
-            else:
-                out.append({k: v for k, v in c.coeffs.items() if k < cut})
-        return out
-
-    da = trim(a, b)
-    db = trim(b, a)
-
-    def extent(dicts):
-        lead = None
-        top = None
-        for d in dicts:
-            if not d:
-                continue
-            lo, hi = min(d), max(d)
-            lead = lo if lead is None else min(lead, lo)
-            top = hi if top is None else max(top, hi)
-        return lead, top
-
-    la, ta = extent(da)
-    lb, tb = extent(db)
-    if la is None or lb is None:
-        return [InfElem(fld, e, {}, prec_k) for prec_k in precs]
-    span_a = ta - la + 1
-    span_b = tb - lb + 1
-    span_u = span_a + span_b
-    bound = (fld.p - 1) ** 2 * n * min(span_a, span_b) * min(len(a), len(b))
-    if bound >= (1 << 32):
-        return None
-
-    def pack_series(dicts, lead):
-        items = []
-        for i, d in enumerate(dicts):
-            base_i = i * span_u - lead
-            for k, v in d.items():
-                items.append((base_i + k, v))
-        return _pack_coeffs(fld, items, 0, stride_u, T * span_u)
-
-    prod = int(_mpz(pack_series(da, la)) * _mpz(pack_series(db, lb)))
-    slots = _unpack_product(fld, prod, stride_u, T * span_u)
-    out = []
-    reduce_digits = fld.reduce_digits
-    base_exp = la + lb
-    for k in range(T):
-        prec_k = precs[k]
-        coeffs_k = {}
-        base = k * span_u * stride_u
-        for off in range(min(span_u, prec_k - base_exp)):
-            vec = slots[base + off * stride_u: base + (off + 1) * stride_u]
-            if any(vec):
-                c = reduce_digits(vec)
-                if c:
-                    coeffs_k[base_exp + off] = c
-        out.append(InfElem(fld, e, coeffs_k, prec_k))
-    return out
-
-
 def _vmax(a, b):
     return [y if x is None else x if y is None else max(x, y) for x, y in zip(a, b)]
 
@@ -399,8 +303,20 @@ def tate_twist(f: TateSeries, n: int) -> TateSeries:
     return f.twist(n)
 
 
-def tate_eval_theta(f: TateSeries) -> InfElem:
-    return f.eval_theta()
+def mat_mul(A, B):
+    """Product of two matrices given as lists of rows, over any ring whose
+    elements support + and *."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = None
+            for a, b_row in zip(row, B):
+                t = a * b_row[j]
+                acc = t if acc is None else acc + t
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 class TateMatrix:
@@ -419,19 +335,7 @@ class TateMatrix:
         return self.rows[ij[0]][ij[1]]
 
     def __matmul__(self, other: "TateMatrix"):
-        n = self.n
-        k = len(other.rows[0])
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(k):
-                acc = None
-                for l in range(len(other.rows)):
-                    t = self.rows[i][l] * other.rows[l][j]
-                    acc = t if acc is None else acc + t
-                row.append(acc)
-            out.append(row)
-        return TateMatrix(out)
+        return TateMatrix(mat_mul(self.rows, other.rows))
 
     def __sub__(self, other):
         return TateMatrix(

@@ -17,6 +17,7 @@ ChainNotConverging rather than returning junk.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     ChainNotConverging,
@@ -25,7 +26,7 @@ from .errors import (
     SingularRecursion,
 )
 from .infinity import InfElem, newton_roots
-from .tate import Decay, TateMatrix, TateSeries, check_difference_eq
+from .tate import Decay, TateMatrix, TateSeries, check_difference_eq, mat_mul
 
 
 class TModule:
@@ -42,7 +43,7 @@ class TModule:
         fld, e = coeffs[0].field, coeffs[0].e
         for c in coeffs[1:]:
             fld = fld.compositum(c.field)
-            e = _lcm(e, c.e)
+            e = lcm(e, c.e)
         self.coeffs = [c.lift(fld, e) for c in coeffs]
         theta = InfElem.theta(fld, self.coeffs[0].prec // e, e)
         if not (self.coeffs[0] - theta).is_zero():
@@ -70,15 +71,6 @@ class TModule:
         """rho_t(x) = theta x + a_1 x^q + ... + a_r x^(q^r)."""
         acc = None
         for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            term = a * x.frobenius(j)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def apply_cm(self, x: InfElem):
-        acc = None
-        for j, a in enumerate(self.cm_action):
             if a.is_zero():
                 continue
             term = a * x.frobenius(j)
@@ -300,13 +292,6 @@ def _sort_key(x):
     return (v, x.field.dlog(c) if c else -1, sorted(x.coeffs.items()))
 
 
-def _lcm(a, b):
-    x, y = a, b
-    while y:
-        x, y = y, x % y
-    return a // x * b
-
-
 def _reduce_into(basis, lam, q):
     """Greedy F_q[theta]-reduction of lam against the current basis."""
     work = lam
@@ -316,7 +301,7 @@ def _reduce_into(basis, lam, q):
         for b in basis:
             if work.is_zero():
                 break
-            bb = b.lift(b.field.compositum(work.field), _lcm(b.e, work.e))
+            bb = b.lift(b.field.compositum(work.field), lcm(b.e, work.e))
             ww = work.lift(bb.field, bb.e)
             dv = ww.val() - bb.val()
             if dv < 0 or (dv * ww.e) % ww.e:
@@ -344,7 +329,7 @@ def _stable(basis, q):
                 continue
             dv = a.val() - b.val()
             if dv >= 0 and (dv * a.e) % a.e == 0:
-                aa = a.lift(a.field.compositum(b.field), _lcm(a.e, b.e))
+                aa = a.lift(a.field.compositum(b.field), lcm(a.e, b.e))
                 bb = b.lift(aa.field, aa.e)
                 ratio = aa.field.div(aa.lead_coeff(), bb.lead_coeff())
                 if aa.field.in_base_q(ratio):
@@ -387,7 +372,7 @@ def skew_mul(f, g, q):
 def _agf_exp_chain(module: TModule, lam: InfElem, T: int):
     """exp(theta^(-n-1) lam) for n < T (the shared core of every AGF)."""
     fld = module.field.compositum(lam.field)
-    e = _lcm(module.e, lam.e)
+    e = lcm(module.e, lam.e)
     lam = lam.lift(fld, e)
     theta_inv = InfElem.theta(fld, module.coeffs[0].prec // module.e, e).inverse()
     exps = []
@@ -403,7 +388,7 @@ def agf(module: TModule, lam: InfElem, j: int, T: int, _chain=None):
     m = tau^j, with its derived geometric decay descriptor."""
     if lam.is_zero():
         fld = module.field.compositum(lam.field)
-        e = _lcm(module.e, lam.e)
+        e = lcm(module.e, lam.e)
         z = InfElem(fld, e, {}, lam.prec)
         return TateSeries([z] * T, Decay("linear", 0, module.q**j or 1))
     exps = _chain if _chain is not None else _agf_exp_chain(module, lam, T)
@@ -500,7 +485,7 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     if basis_change is not None:
         U, U_minus, U_inv_theta = basis_change
         psi_minus = U_minus @ psi_rho_minus
-        psi_inv_theta = _mat_mul_inf(ct_theta, U_inv_theta)
+        psi_inv_theta = mat_mul(ct_theta, U_inv_theta)
     else:
         psi_minus = psi_rho_minus
         psi_inv_theta = ct_theta
@@ -518,18 +503,3 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
             f"difference equation residual {report['min_residual']} below {threshold}"
         )
     return PsiBundle(psi, psi_minus, psi_inv_theta, report)
-
-
-def _mat_mul_inf(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for l in range(k):
-                t = A[i][l] * B[l][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out

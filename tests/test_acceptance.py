@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmperiods.arith import Fq
+from cmperiods.arith import Fq, q_split
 from cmperiods.cmtypes import CMFieldModel, rank_ik0
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import InfElem
@@ -37,13 +37,7 @@ def _ok(label, detail):
 
 
 def _carlitz_module(q, prec):
-    p = 2
-    while q % p:
-        p += 1
-    a = 0
-    while p**a < q:
-        a += 1
-    fld = Fq.get(p, a, 1)
+    fld = Fq.get(*q_split(q), 1)
     return TModule([InfElem.theta(fld, prec), InfElem.const(fld, 1, prec)])
 
 

@@ -58,6 +58,12 @@ def test_gamma_pole_exit_code():
     assert main(["gamma", "--q", "2", "--x", "1", "--prec", "40"]) == 2
 
 
+def test_q_not_a_prime_power_is_a_usage_error(capsys):
+    assert main(["gamma", "--q", "6", "--x", "1/(theta+1)", "--prec", "40"]) == 2
+    assert main(["pitilde", "--q", "6", "--prec", "40"]) == 2
+    assert "--q" in capsys.readouterr().err
+
+
 def test_shtuka_build_emits_fixture(tmp_path):
     out = tmp_path / "motive.json"
     code = main(["shtuka", "build", "--example", "kummer-t:3", "--prec", "60", "--json", "--out", str(out)])
@@ -87,11 +93,11 @@ def test_periods_closed_form_fixture(tmp_path):
     assert "period_symbols" in rep["payload"]
 
 
-def test_legendre_threads_flag(tmp_path):
+def test_legendre_require_pass(tmp_path):
     out = tmp_path / "l.json"
     code = main(["legendre", "--example", "carlitz-tensor:2", "--prec", "120",
                  "--trunc", "20", "--deg", "2", "--height", "6",
-                 "--threads", "2", "--require-pass", "--json", "--out", str(out)])
+                 "--require-pass", "--json", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert all(f["pass"] for f in rep["payload"]["fibers"].values())

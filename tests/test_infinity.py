@@ -7,7 +7,7 @@ from cmperiods.arith import Fq
 from cmperiods.errors import DivisionByApparentZero, NotAPower
 from cmperiods.infinity import (
     InfElem,
-    _mul_packed,
+    _kronecker_mul,
     inf_arith,
     inf_frobenius,
     inf_nth_root,
@@ -17,6 +17,8 @@ from cmperiods.infinity import (
 F2 = Fq.get(2, 1, 1)
 F3 = Fq.get(3, 1, 1)
 F9 = Fq.get(3, 1, 2)
+F257 = Fq.get(257, 1, 1)
+F4093 = Fq.get(4093, 1, 1)
 
 
 def rand_elem(rng, field, e=1, prec=40, lead=-6, density=0.5, var="theta"):
@@ -164,11 +166,14 @@ def test_p_power_root():
 
 def test_packed_mul_matches_naive():
     rng = random.Random(31)
-    for field, e in [(F3, 1), (F9, 2), (F2, 1)]:
-        a = rand_elem(rng, field, e=e, prec=120, lead=-10, density=0.9)
-        b = rand_elem(rng, field, e=e, prec=120, lead=-7, density=0.9)
+    # F_4093 at 400 units needs 64-bit slots; the others fit 8, 16 or 32
+    cases = [(F3, 1, 120), (F9, 2, 120), (F2, 1, 120), (F257, 1, 120), (F4093, 1, 120), (F4093, 1, 400)]
+    for field, e, top in cases:
+        a = rand_elem(rng, field, e=e, prec=top, lead=-10, density=0.9)
+        b = rand_elem(rng, field, e=e, prec=top, lead=-7, density=0.9)
         prec = min(a.prec + b.lead_exp, b.prec + a.lead_exp)
-        packed = _mul_packed(a, b, prec)
+        (packed,) = _kronecker_mul([a], [b], 1)
+        assert packed.prec == prec
         naive = {}
         for k1, c1 in a.coeffs.items():
             for k2, c2 in b.coeffs.items():
@@ -180,7 +185,7 @@ def test_packed_mul_matches_naive():
                     naive[k] = s
                 else:
                     naive.pop(k, None)
-        assert packed == naive
+        assert packed.coeffs == naive
 
 
 def test_newton_roots_quadratic_ramified():

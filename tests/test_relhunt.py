@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cmperiods.arith import Fq
-from cmperiods.errors import InsufficientPrecision
+from cmperiods.errors import CMPeriodsError, InsufficientPrecision
 from cmperiods.infinity import InfElem, inf_nth_root
 from cmperiods.relhunt import (
     find_algebraic_relation,
@@ -45,6 +45,21 @@ def test_duplicate_detected():
     assert rels
     rel = rels[0]["coeffs"]
     assert rel[2] == [0, 0, 0, 0]
+
+
+def test_prime_limit_of_the_byte_kernel():
+    # byte lanes carry past p = 13: the search refuses larger primes
+    # instead of missing the relation
+    for p, ok in [(13, True), (31, False)]:
+        fld = Fq.get(p, 1, 1)
+        rng = random.Random(p)
+        v = rand_series(rng, fld)
+        w = rand_series(rng, fld)
+        if ok:
+            assert find_linear_relations([v, v, w], H=3, margin=10)
+        else:
+            with pytest.raises(CMPeriodsError, match="p <= 13"):
+                find_linear_relations([v, v, w], H=3, margin=10)
 
 
 def test_no_relation_for_ramified_element():

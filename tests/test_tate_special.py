@@ -174,6 +174,11 @@ def test_gamma_blocked_vs_direct_enumeration():
 # -- packed series product against the schoolbook loop ----------------------
 
 F9 = Fq.get(3, 2, 1)
+F2 = Fq.get(2, 1, 1)
+F257 = Fq.get(257, 1, 1)
+F4093 = Fq.get(4093, 1, 1)
+PACKED_FIELDS = [F2, F3, F9, F257, F4093]
+PACKED_IDS = ["F2", "F3", "F9", "F257", "F4093"]
 
 
 def _schoolbook(a, b):
@@ -202,13 +207,13 @@ def _assert_same(got, want):
         assert g.coeffs == w.coeffs, f"index {k}: coefficients differ"
 
 
-@pytest.mark.parametrize("fld", [F3, F9], ids=["F3", "F9"])
+@pytest.mark.parametrize("fld", PACKED_FIELDS, ids=PACKED_IDS)
 @pytest.mark.parametrize("e", [1, 4])
 @pytest.mark.parametrize("twist", [0, 2])
 def test_packed_product_matches_schoolbook(fld, e, twist):
     import random
 
-    from cmperiods.tate import _series_mul_packed
+    from cmperiods.infinity import _kronecker_mul
 
     rng = random.Random(31 * fld.size + 7 * e + twist)
     T = 7
@@ -219,18 +224,18 @@ def test_packed_product_matches_schoolbook(fld, e, twist):
         [_rand_elem(rng, fld, e, -e + 3 * i, 4 * e + 3 * i, 9 * e + 4 * i).frobenius(twist) for i in range(T)]
     )
     b = TateSeries([_rand_elem(rng, fld, e, -2 * e + i, 3 * e + i, 8 * e + 5 * i) for i in range(T)])
-    packed = _series_mul_packed(a.coeffs, b.coeffs, T)
+    packed = _kronecker_mul(a.coeffs, b.coeffs, T)
     assert packed is not None
     _assert_same(packed, _schoolbook(a, b))
     _assert_same((a * b).coeffs, _schoolbook(a, b))
     _assert_same((b * a).coeffs, _schoolbook(b, a))
 
 
-@pytest.mark.parametrize("fld", [F3, F9], ids=["F3", "F9"])
+@pytest.mark.parametrize("fld", PACKED_FIELDS, ids=PACKED_IDS)
 def test_packed_product_trims_whole_coefficients(fld):
     import random
 
-    from cmperiods.tate import _series_mul_packed
+    from cmperiods.infinity import _kronecker_mul
 
     rng = random.Random(fld.size)
     T = 6
@@ -240,17 +245,25 @@ def test_packed_product_trims_whole_coefficients(fld):
         [_rand_elem(rng, fld, 1, 0, 6, 200)] + [_rand_elem(rng, fld, 1, 60, 70, 200) for _ in range(T - 1)]
     )
     b = TateSeries([_rand_elem(rng, fld, 1, 0, 6, 8) for _ in range(T)])
-    _assert_same(_series_mul_packed(a.coeffs, b.coeffs, T), _schoolbook(a, b))
+    _assert_same(_kronecker_mul(a.coeffs, b.coeffs, T), _schoolbook(a, b))
     # a zero c_0 known only to u^-50 leaves no output digit at all: both
     # operands trim to nothing, and index k keeps its own precision -50 + k
     z = InfElem(fld, 1, {}, -50)
     c = TateSeries([z] + [_rand_elem(rng, fld, 1, 0, 6, 40) for _ in range(T - 1)])
     d = TateSeries([_rand_elem(rng, fld, 1, i, 6 + i, 40 + 3 * i) for i in range(T)])
-    got = _series_mul_packed(d.coeffs, c.coeffs, T)
+    got = _kronecker_mul(d.coeffs, c.coeffs, T)
     want = _schoolbook(d, c)
     _assert_same(got, want)
     assert all(x.is_zero() for x in got)
     assert [x.prec for x in got] == [-50 + k for k in range(T)]
+
+
+def test_product_of_unlike_ramification():
+    # the packed path needs one ramification index; e = 1 times e = 2
+    # must align every coefficient, as the schoolbook loop does
+    a = TateSeries([InfElem(F3, 1, {0: 1, 1: 2}, 20) for _ in range(6)])
+    b = TateSeries([InfElem(F3, 2, {0: 1, 1: 1}, 40) for _ in range(6)])
+    _assert_same((a * b).coeffs, _schoolbook(a, b))
 
 
 # -- precision budgets: truncated operands still carry the target ----------
