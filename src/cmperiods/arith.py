@@ -729,12 +729,6 @@ class FPoly:
         f = self.field
         return FPoly(f, [f.mul(c, x) for x in self.coeffs], self.var)
 
-    def shift(self, k):
-        """Multiply by var^k."""
-        if self.is_zero():
-            return self
-        return FPoly(self.field, (0,) * k + self.coeffs, self.var)
-
     def divmod(self, other):
         self._check(other)
         if other.is_zero():
@@ -770,20 +764,10 @@ class FPoly:
             a = a.scale(a.field.inv(a.coeffs[-1]))
         return a
 
-    def derivative(self):
-        f = self.field
-        out = []
-        for k in range(1, len(self.coeffs)):
-            out.append(f.mul(f.scalar(k), self.coeffs[k]))
-        return FPoly(f, out, self.var)
-
     def monic(self):
         if self.is_zero():
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def roots(self):
-        return poly_roots(list(self.coeffs), self.field)
 
     def __repr__(self):
         if self.is_zero():

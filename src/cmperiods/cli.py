@@ -120,13 +120,10 @@ def _field_conventions(q):
 
 
 def _load_model(args):
-    if getattr(args, "model", None):
+    if args.model:
         with open(args.model) as fh:
             return CMFieldModel.from_json(json.load(fh))
-    name = getattr(args, "example", None)
-    if name:
-        return get_fixture(name, q=args.q, N=args.prec).model
-    raise SystemExit(2)
+    return get_fixture(args.example, q=args.q, N=args.prec).model
 
 
 def _parse_poly(field, text):
@@ -433,22 +430,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, example=False):
+    def common(p, trunc=False, example=False):
         p.add_argument("--q", type=prime_power, default=3)
         p.add_argument("--prec", type=int, default=DEFAULT_PREC)
-        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
+        if trunc:
+            p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
         if example:
-            p.add_argument("--example", choices=FIXTURE_NAMES, required=False)
-            p.add_argument("--model", default=None)
+            p.add_argument("--example", choices=FIXTURE_NAMES, required=True)
 
     p = sub.add_parser("pitilde", help="Carlitz period with dual-formula cross-check")
     common(p)
     p.set_defaults(fn=cmd_pitilde)
 
     p = sub.add_parser("omega", help="period generating series and its functional equation")
-    common(p)
+    common(p, trunc=True)
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("gamma", help="geometric gamma value")
@@ -458,7 +455,10 @@ def build_parser():
 
     p = sub.add_parser("cm", help="CM-field model operations")
     p.add_argument("action", choices=["validate", "points", "rank", "xi0"])
-    common(p, example=True)
+    common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--example", choices=FIXTURE_NAMES)
+    source.add_argument("--model")
     p.add_argument("--xi", default=None)
     p.add_argument("--xi0", default=None)
     p.set_defaults(fn=cmd_cm)
@@ -469,21 +469,21 @@ def build_parser():
     p.set_defaults(fn=cmd_shtuka)
 
     p = sub.add_parser("periods", help="period lattice and period symbols")
-    common(p, example=True)
+    common(p, trunc=True, example=True)
     p.set_defaults(fn=cmd_periods)
 
     p = sub.add_parser("agf", help="Anderson generating function coefficients")
-    common(p, example=True)
+    common(p, trunc=True, example=True)
     p.add_argument("--tag", type=int, default=1)
     p.add_argument("--vector", type=int, default=0)
     p.set_defaults(fn=cmd_agf)
 
     p = sub.add_parser("qp", help="quasi-period matrix")
-    common(p, example=True)
+    common(p, trunc=True, example=True)
     p.set_defaults(fn=cmd_qp)
 
     p = sub.add_parser("legendre", help="certify the per-fiber period-symbol product")
-    common(p, example=True)
+    common(p, trunc=True, example=True)
     p.add_argument("--deg", type=int, default=DEFAULT_DEG)
     p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
     p.add_argument("--margin", type=int, default=DEFAULT_MARGIN)

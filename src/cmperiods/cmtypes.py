@@ -128,6 +128,7 @@ class CMFieldModel:
         self.real_degree = 1
         self.cm_degree = self.degree // self.real_degree
         self._points = {}
+        self._wring = None  # the scalar ring of its motives, see shtuka._model_wring
 
     # -- serialization ------------------------------------------------------
 

@@ -34,7 +34,7 @@ class Fixture:
     xi: CMDivisor
     motive: DualMotive
     tmodule: TModule | None = None
-    basis_change: tuple | None = None  # (U, U_minus) as WPoly matrices
+    basis_change: tuple | None = None  # (U, U_minus, U_inv) as WPoly matrices
     psi_power: int | None = None  # for Omega^n trivializations
     notes: dict = field(default_factory=dict)
 
@@ -75,14 +75,6 @@ def _wmat(ring, entries):
     return out
 
 
-def _wmat_mul(A, B, ring):
-    # adding to the zero of ring moves each entry onto ring, which the
-    # identity check in WElem equality needs: factors may come from
-    # different ring objects
-    zero = WPoly(ring, [])
-    return [[zero + x for x in row] for row in mat_mul(A, B)]
-
-
 def _wmat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
@@ -108,10 +100,10 @@ def drinfeld_phi(ring: WRing, coeffs):
     return rows
 
 
-def check_intertwine(U, U_minus, phi_rho, phi_s, ring):
+def check_intertwine(U, U_minus, phi_rho, phi_s):
     """U^(-1) Phi_rho = Phi_s U, with the recorded twist of U."""
-    lhs = _wmat_mul(U_minus, phi_rho, ring)
-    rhs = _wmat_mul(phi_s, U, ring)
+    lhs = mat_mul(U_minus, phi_rho)
+    rhs = mat_mul(phi_s, U)
     if not _wmat_eq(lhs, rhs):
         raise ConsistencyFailure("basis change does not intertwine the sigma matrices")
     return True
@@ -131,7 +123,7 @@ def _check_twist_pair(U, U_minus, prec=60, T=4):
 
 
 def _check_inverse_pair(U, U_inv, ring):
-    prod = _wmat_mul(U, U_inv, ring)
+    prod = mat_mul(U, U_inv)
     n = len(U)
     for i in range(n):
         for j in range(n):
@@ -190,7 +182,7 @@ def kummer_fixture(q, T=32, N=200):
         U = _wmat(ring, [[zero, one], [one, theta * w]])
         U_minus = _wmat(ring, [[zero, one], [one, -w]])
         U_inv = _wmat(ring, [[-(theta * w), one], [one, zero]])
-        check_intertwine(U, U_minus, phi_rho, motive.phi, ring)
+        check_intertwine(U, U_minus, phi_rho, motive.phi)
         _check_twist_pair(U, U_minus)
         _check_inverse_pair(U, U_inv, ring)
         coeffs = [c.realize(N) for c in coeffs_sym]
@@ -211,7 +203,7 @@ def const_ext_fixture(q, ell=2, T=32, N=200):
     ring = motive.ring
     phi_rho = drinfeld_phi(ring, [ring.theta()] + [ring.zero()] * (ell - 1) + [ring.one()])
     ident = _wmat(ring, [[ring.one() if i == j else ring.zero() for j in range(ell)] for i in range(ell)])
-    check_intertwine(ident, ident, phi_rho, motive.phi, ring)
+    check_intertwine(ident, ident, phi_rho, motive.phi)
     fld = model.const_field
     theta = InfElem.theta(fld, N)
     one = InfElem.const(fld, 1, N)

@@ -457,7 +457,6 @@ class CoordElem:
             if c.is_zero():
                 continue
             term = WPoly(ring, [ring.zero()] * i + [ring.one()], var="y")
-            tt = WPoly(ring, [c.coeffs[-1]] if c.deg == 0 else [], var="y")
             # evaluate c (poly in t) at t_as_y
             val = WPoly(ring, [], var="y")
             for tc in reversed(c.coeffs):
@@ -499,20 +498,27 @@ class ShtukaPair:
 
 
 def _model_wring(model: CMFieldModel):
-    if model.kind == "rational":
-        # degenerate Kummer shape: E = 1, u(t) = t, so w realizes to theta
-        return WRing(model.base, 1, FPoly.x(model.base)), WPoly(
-            WRing(model.base, 1, FPoly.x(model.base)), [], "t"
-        )
-    if model.kind == "monogenic":
-        u_theta = FPoly(model.base, model.u_coeffs)
-        ring = WRing(model.base, model.E, u_theta)
-        u_t = WPoly(ring, [ring.scalar(c) for c in model.u_coeffs])
-        return ring, u_t
-    if model.kind == "constant-ext":
-        ring = WRing(model.const_field, 1, FPoly.x(model.const_field))
-        return ring, None
-    raise UnsupportedGenus(model.kind)
+    """The model's scalar ring W and u(t) (None for constant-ext).
+
+    Built once per model, so that every shtuka function, motive matrix and
+    basis change on the model lives on one ring object: WElem equality
+    compares rings by identity.
+    """
+    if model._wring is None:
+        if model.kind == "rational":
+            # degenerate Kummer shape: E = 1, u(t) = t, so w realizes to theta
+            ring = WRing(model.base, 1, FPoly.x(model.base))
+            u_t = WPoly(ring, [ring.zero(), ring.one()])
+        elif model.kind == "monogenic":
+            ring = WRing(model.base, model.E, FPoly(model.base, model.u_coeffs))
+            u_t = WPoly(ring, [ring.scalar(c) for c in model.u_coeffs])
+        elif model.kind == "constant-ext":
+            ring = WRing(model.const_field, 1, FPoly.x(model.const_field))
+            u_t = None
+        else:
+            raise UnsupportedGenus(model.kind)
+        model._wring = ring, u_t
+    return model._wring
 
 
 def solve_shtuka(model: CMFieldModel, xi: CMDivisor, prec=120):
@@ -528,8 +534,6 @@ def solve_shtuka(model: CMFieldModel, xi: CMDivisor, prec=120):
     red = reduction_at_infinity(xi, model, prec)
     if model.kind in ("rational", "monogenic"):
         ring, u_t = _model_wring(model)
-        if model.kind == "rational":
-            u_t = WPoly(ring, [ring.zero(), ring.one()])  # u(t) = t
         w = ring.w()
         one = CoordElem(ring, [WPoly.const(ring, ring.one())], u_t)
         h = one
@@ -661,8 +665,6 @@ def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120)
     sigma_exponents = {pt.label: xi[pt.label] for pt in model.points(prec)}
     if pair.kind == "monogenic":
         ring, u_t = _model_wring(model)
-        if model.kind == "rational":
-            u_t = WPoly(ring, [ring.zero(), ring.one()])
         E = model.degree
         h = pair.data
         phi = []
@@ -763,9 +765,7 @@ def sigma_ideal_check(motive: DualMotive, prec=120):
     """
     model = motive.model
     if motive.pair.kind == "monogenic":
-        ring, u_t = _model_wring(model)
-        if model.kind == "rational":
-            u_t = WPoly(ring, [ring.zero(), ring.one()])
+        ring = motive.ring
         h_y = motive.pair.data.to_ypoly()
         w = ring.w()
         expected = WPoly.const(ring, ring.one(), var="y")

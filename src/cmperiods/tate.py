@@ -14,8 +14,7 @@ Psi^(-1) = Phi Psi.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import ceil, lcm
+from math import lcm
 
 from .errors import NoDecay
 from .infinity import InfElem, _kronecker_mul
@@ -188,24 +187,6 @@ class TateSeries:
             return self
         return TateSeries(self.coeffs[:T2], self.decay)
 
-    def leads(self):
-        """Leading valuation of each coefficient (its precision when zero)."""
-        return [Fraction(c.lead_exp, c.e) for c in self.coeffs]
-
-    def precs(self):
-        return [c.prec_val for c in self.coeffs]
-
-    def with_budget(self, budget):
-        """Truncate coefficient i to the precision budget[i] (valuation
-        units, None for no cut), never below its leading digit, so that
-        every leading valuation stays as it was."""
-        out = []
-        for c, b in zip(self.coeffs, budget):
-            if b is not None:
-                c = c.truncate(max(ceil(b * c.e), c.lead_exp + 1))
-            out.append(c)
-        return TateSeries(out, self.decay)
-
     def inverse(self):
         """Series inverse in t by Newton doubling on the truncation."""
         fld, e = self.field, self.e
@@ -252,51 +233,6 @@ class TateSeries:
             "decay": self.decay.to_json() if self.decay else {"kind": "none"},
             "coeffs": [c.to_json() for c in self.coeffs],
         }
-
-
-def _vmax(a, b):
-    return [y if x is None else x if y is None else max(x, y) for x, y in zip(a, b)]
-
-
-def _factor_budget(target, other):
-    """Precision a factor x needs for the product x * y to carry target.
-
-    target[k] is the precision wanted at t^k of the product (valuation
-    units, None for none); other[j] is a lower bound on the leading
-    valuation of y_j.  The product carries
-    min over i + j = k of (prec x_i + lead y_j, prec y_j + lead x_i), so
-    the x side meets the target when prec x_i >= target[i + j] - lead y_j
-    for every j.
-    """
-    T = len(target)
-    return [
-        max(
-            (target[i + j] - lead for j, lead in enumerate(other[: T - i]) if target[i + j] is not None),
-            default=None,
-        )
-        for i in range(T)
-    ]
-
-
-def _inverse_budget(target, inv_leads):
-    """Precision a series d needs for d.inverse() to carry target.
-
-    inv_leads[k] is a lower bound on the leading valuation of (1/d)_k.
-    An error in d_j reaches (1/d)_k through (1/d^2)_{k-j}, whose leading
-    valuation is at least min over a + b = k - j of
-    inv_leads[a] + inv_leads[b].  Newton's constant 2 carries the
-    precision of 1/d_0 rounded down to a whole unit of valuation, and it
-    reaches (1/d)_k through some (1/d)_i with i <= k; so d_0 needs that
-    precision plus one unit.
-    """
-    T = len(target)
-    lam2 = [min(inv_leads[a] + inv_leads[k - a] for a in range(k + 1)) for k in range(T)]
-    out = _factor_budget(target, lam2)
-    need = [t - low for t, low in zip(target, accumulate(inv_leads, min)) if t is not None]
-    if need:
-        need0 = max(need) - 2 * inv_leads[0] + 1
-        out[0] = need0 if out[0] is None else max(out[0], need0)
-    return out
 
 
 def tate_twist(f: TateSeries, n: int) -> TateSeries:
@@ -353,73 +289,13 @@ class TateMatrix:
         raise NotImplementedError("determinant implemented for n <= 2")
 
     def inverse(self):
-        return self.adjugate_times(self.det().inverse())
-
-    def adjugate_times(self, dinv):
-        """adj(M) * dinv entrywise; M^(-1) when dinv = det(M)^(-1)."""
+        """adj(M) det(M)^(-1), with the series inverse of det(M)."""
+        dinv = self.det().inverse()
         if self.n == 1:
             return TateMatrix([[dinv]])
-        if self.n == 2:
-            a, b = self.rows[0]
-            c, d = self.rows[1]
-            return TateMatrix(
-                [[d * dinv, (-b) * dinv], [(-c) * dinv, a * dinv]]
-            )
-        raise NotImplementedError("inverse implemented for n <= 2")
-
-    def budget_right(self, target):
-        """Precision each entry of B needs for self @ B to carry target.
-
-        target[i][j] lists the precision wanted at each t-power of entry
-        (i, j) of the product; the answer has the same shape for B.
-        """
-        out = [[[None] * len(target[0][0]) for _ in target[0]] for _ in self.rows[0]]
-        for i, row in enumerate(self.rows):
-            for l, a in enumerate(row):
-                leads = a.leads()
-                for j, t in enumerate(target[i]):
-                    out[l][j] = _vmax(out[l][j], _factor_budget(t, leads))
-        return out
-
-    def inverse_budget(self, target, dinv_leads):
-        """Precision each entry needs for inverse() to carry target.
-
-        dinv_leads are lower bounds on the leading valuations of
-        det(M)^(-1).  With dinv carrying its own budget, its leads are at
-        least min(dinv_leads, budget).  Entry (i, j) of M enters M^(-1) as
-        the adjugate entry (1 - j, 1 - i) and det(M) through the product
-        with its partner (1 - i, 1 - j); truncation with with_budget keeps
-        the leading valuations of M that this reads.
-        """
-        n = self.n
-        if n > 2:
-            raise NotImplementedError("inverse implemented for n <= 2")
-        if n == 1:
-            lam = [l if t is None else min(l, t) for l, t in zip(dinv_leads, target[0][0])]
-            return [[_inverse_budget(target[0][0], lam)]]
-        leads = [[s.leads() for s in row] for row in self.rows]
-        t_dinv = [None] * len(target[0][0])
-        for i in range(2):
-            for j in range(2):
-                t_dinv = _vmax(t_dinv, _factor_budget(target[1 - j][1 - i], leads[i][j]))
-        lam = [l if t is None else min(l, t) for l, t in zip(dinv_leads, t_dinv)]
-        t_det = _inverse_budget(t_dinv, lam)
-        return [
-            [
-                _vmax(
-                    _factor_budget(target[1 - j][1 - i], lam),
-                    _factor_budget(t_det, leads[1 - i][1 - j]),
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-
-    def with_budget(self, budget):
-        """Entrywise TateSeries.with_budget."""
-        return TateMatrix(
-            [[s.with_budget(b) for s, b in zip(row, brow)] for row, brow in zip(self.rows, budget)]
-        )
+        a, b = self.rows[0]
+        c, d = self.rows[1]
+        return TateMatrix([[d * dinv, (-b) * dinv], [(-c) * dinv, a * dinv]])
 
     def transpose(self):
         return TateMatrix([list(col) for col in zip(*self.rows)])

@@ -427,15 +427,11 @@ def quasi_period_matrix(module: TModule, lattice: Lattice, T=None):
 class PsiBundle:
     """A trivialization together with its exactly-assembled companions.
 
-    psi_minus is the inverse twist rebuilt from the same exponential data
-    one Frobenius power lower (no generic root extraction).  psi and
-    psi_minus carry the precision the difference-equation check needs:
-    psi_minus the precision the untwisted AGF columns give, psi only a
-    budget derived so that Phi Psi carries at least that of psi_minus at
-    each t-index (see build_psi).  psi_inv_theta is
-    Psi^(-1)(theta) = C^T(theta) U^(-1)(theta), evaluated from the full
-    AGF columns, whose entries are quasi-periods against the exact basis
-    change.
+    psi_minus is the inverse twist Psi^(-1), built from the untwisted AGF
+    columns; psi is its coefficientwise Frobenius twist and carries q
+    times the precision of psi_minus (see build_psi).  psi_inv_theta is Psi^(-1)(theta) = C^T(theta) U^(-1)(theta),
+    evaluated from the twisted AGF columns, whose entries are
+    quasi-periods against the exact basis change.
     """
 
     def __init__(self, psi, psi_minus, psi_inv_theta, report):
@@ -454,17 +450,14 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     the recorded basis change (U, U_minus, U_inv).  The result must pass
     the difference equation against Phi.
 
-    Psi comes from the twisted columns tau^1..tau^r, psi_minus from
-    tau^0..tau^(r-1); a twist multiplies precision by q, so the twisted
-    columns hold far more than the check can use.  The residual compares
-    psi_minus with Phi Psi, so Psi is built from columns truncated to a
-    budget derived backwards from the precision of psi_minus at each
-    t-index: through Phi and U by the product rule, through
-    adj(C^T) det(C^T)^(-1) with the leading valuations of the columns, and
-    through Newton's series inverse with the leads of det(C^T)^(-1), which
-    are q times those of the untwisted determinant's inverse.  The report
-    is the one the full columns give.  psi_inv_theta and the period
-    symbols use the full columns.
+    psi_minus = U_minus (C_minus^T)^(-1) comes from the columns
+    tau^0..tau^(r-1).  The columns tau^1..tau^r are their coefficientwise
+    Frobenius twist (agf twists the same exponentials), and U is the twist
+    of U_minus, so Psi = psi_minus^(1): the twist is a ring endomorphism
+    and commutes with the inverse and the products.  The residual still
+    judges the result, as psi_minus - Phi psi_minus^(1).  The twisted
+    columns C are evaluated at theta for psi_inv_theta and the period
+    symbols.
     """
     r = module.rank
     if len(lattice.vectors) != r:
@@ -478,25 +471,16 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
         ]
     C = TateMatrix([[-fam[i + 1][jj] for jj in range(r)] for i in range(r)])
     C_minus = TateMatrix([[-fam[i][jj] for jj in range(r)] for i in range(r)])
-    ct_minus = C_minus.transpose()
-    dinv_minus = ct_minus.det().inverse()
-    psi_rho_minus = ct_minus.adjugate_times(dinv_minus)
-    ct_theta = [[C.rows[j][i].eval_theta() for j in range(r)] for i in range(r)]
+    psi_minus = C_minus.transpose().inverse()
+    ct_theta = C.transpose().eval_theta()
     if basis_change is not None:
-        U, U_minus, U_inv_theta = basis_change
-        psi_minus = U_minus @ psi_rho_minus
+        _, U_minus, U_inv_theta = basis_change
+        psi_minus = U_minus @ psi_minus
         psi_inv_theta = mat_mul(ct_theta, U_inv_theta)
     else:
-        psi_minus = psi_rho_minus
         psi_inv_theta = ct_theta
+    psi = psi_minus.twist(1)
     phi_t = motive.phi_tate(T, prec or (module.coeffs[0].prec // module.e))
-    target = phi_t.budget_right([[s.precs() for s in row] for row in psi_minus.rows])
-    if basis_change is not None:
-        target = U.budget_right(target)
-    ct = C.transpose()
-    budget = ct.inverse_budget(target, [module.q * l for l in dinv_minus.leads()])
-    psi_rho = ct.with_budget(budget).inverse()
-    psi = U @ psi_rho if basis_change is not None else psi_rho
     report = check_difference_eq(phi_t, psi, threshold=threshold, psi_minus=psi_minus)
     if threshold is not None and not report["pass"]:
         raise ConsistencyFailure(

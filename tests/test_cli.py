@@ -101,3 +101,19 @@ def test_legendre_require_pass(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert all(f["pass"] for f in rep["payload"]["fibers"].values())
+
+
+def test_example_is_required(capsys):
+    for cmd in (["periods"], ["agf"], ["qp"], ["legendre"], ["shtuka", "build"]):
+        assert main(cmd + ["--prec", "40"]) == 2
+    assert "--example" in capsys.readouterr().err
+    # cm takes exactly one of --example and --model
+    assert main(["cm", "rank"]) == 2
+    assert main(["cm", "rank", "--example", "carlitz", "--model", "fixtures/kummer-t-3.json"]) == 2
+
+
+def test_flags_only_where_read():
+    # --model is read by cm alone, --trunc only by the truncating commands
+    assert main(["periods", "--example", "carlitz", "--model", "fixtures/kummer-t-3.json"]) == 2
+    assert main(["pitilde", "--q", "2", "--trunc", "20"]) == 2
+    assert main(["shtuka", "check", "--example", "carlitz", "--trunc", "20"]) == 2

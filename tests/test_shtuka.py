@@ -60,6 +60,14 @@ def test_build_motive_kummer_matches_hand_expansion():
             assert (a - b).is_zero()
 
 
+@pytest.mark.parametrize("name", ["carlitz", "kummer-t:3", "const-ext:2"])
+def test_motive_lives_on_one_ring(name):
+    # one WRing per model: the shtuka function, Phi and the basis change
+    # share it, so their entries compare by value without re-homing
+    motive = get_fixture(name, q=3, N=60).motive
+    assert all(c.ring is motive.ring for row in motive.phi for c in row)
+
+
 def test_det_phi_invariant_all_fixtures():
     for name in ["carlitz", "carlitz-tensor:2", "carlitz-tensor:3", "kummer-t:3", "kummer-t:5", "const-ext:2"]:
         fx = get_fixture(name, q=3, N=60)

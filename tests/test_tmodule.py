@@ -7,8 +7,8 @@ from cmperiods.arith import Fq
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import InfElem
 from cmperiods.relhunt import find_linear_relations
-from cmperiods.special import carlitz_period
-from cmperiods.tate import TateMatrix, check_difference_eq
+from cmperiods.special import carlitz_period, omega_series
+from cmperiods.tate import TateMatrix, TateSeries, check_difference_eq
 from cmperiods.tmodule import TModule, agf, build_psi, de_rham_pairing, quasi_period_matrix
 
 F3 = Fq.get(3, 1, 1)
@@ -216,8 +216,6 @@ def test_kummer_quasi_period_matrix_nondegenerate():
 
 
 def test_build_psi_carlitz_is_omega_multiple():
-    from cmperiods.special import omega_series
-
     q, N, T = 3, 120, 20
     fx = get_fixture("carlitz", q=q, N=N)
     tm = fx.tmodule
@@ -242,9 +240,10 @@ def test_build_psi_const_ext():
 
 @pytest.mark.parametrize("name, N, T", [("carlitz", 120, 20), ("const-ext:2", 60, 12), ("kummer-t:3", 60, 12)])
 def test_build_psi_budget_keeps_the_report(name, N, T):
-    # Psi built from the full twisted columns is the reference: the budgeted
-    # Psi must give the same report, and Phi Psi must carry as much as the
-    # reference wherever that reaches the precision of psi_minus
+    # Psi inverted from the full twisted columns is the reference: Psi
+    # built as the twist of psi_minus, with no precision budget, must give
+    # the same report and agree with it digit for digit wherever both are
+    # known
     fx = get_fixture(name, q=3, N=N)
     tm = fx.tmodule
     lat = tm.period_lattice()
@@ -256,13 +255,31 @@ def test_build_psi_budget_keeps_the_report(name, N, T):
         full = U[0] @ full
     phi = fx.motive.phi_tate(T, N)
     assert check_difference_eq(phi, full, psi_minus=bundle.psi_minus) == bundle.report
-    cheaper = False
-    for got, ref, lhs in zip((phi @ bundle.psi).rows, (phi @ full).rows, bundle.psi_minus.rows):
-        for g, f, m in zip(got, ref, lhs):
-            for x, y, z in zip(g.coeffs, f.coeffs, m.coeffs):
-                assert x.prec_val >= min(y.prec_val, z.prec_val)
-                cheaper |= x.prec < y.prec
-    assert cheaper
+    for got, ref in zip(bundle.psi.rows, full.rows):
+        for g, f in zip(got, ref):
+            assert all((x - y).is_zero() for x, y in zip(g.coeffs, f.coeffs))
+
+
+@pytest.mark.parametrize("name, size", [("carlitz", 9), ("kummer-t:3", 9), ("const-ext:2", 81)])
+def test_t_legendre_identity(name, size):
+    # det(C_minus^T) (t - theta) Omega is a nonzero constant in t: its t^0
+    # coefficient is one constant digit and every t^i, i >= 1, vanishes at
+    # its precision; over F_3 the constant is -1
+    N, T = 60, 12
+    fx = get_fixture(name, q=3, N=N)
+    tm = fx.tmodule
+    lat = tm.period_lattice()
+    ct_minus = TateMatrix([[-agf(tm, lam, i, T) for i in range(tm.rank)] for lam in lat.vectors])
+    om = omega_series(3, T, N)
+    theta = InfElem.theta(om.field, N, om.e)
+    one = InfElem.const(om.field, 1, N, om.e)
+    prod = ct_minus.det() * TateSeries.poly([-theta, one], T) * om
+    assert prod.field.size == size
+    assert all(c.is_zero() for c in prod.coeffs[1:])
+    c0 = prod.coeffs[0]
+    assert list(c0.coeffs) == [0]
+    if size == 9:
+        assert c0.coeffs[0] == prod.field.scalar(2)
 
 
 def test_cm_action_must_commute():
