@@ -26,7 +26,8 @@ _FIELD_CACHE: dict[tuple, "Fq"] = {}
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers on digit tuples (little-endian, no trailing zeros)
+# F_p[x] digit tuples under Fq's own multiplication (little-endian, no
+# trailing zeros); every other polynomial is an FPoly
 
 
 def _ptrim(c):
@@ -34,15 +35,6 @@ def _ptrim(c):
     while n and c[n - 1] == 0:
         n -= 1
     return c[:n]
-
-
-def _padd(p, u, v):
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, d in enumerate(v):
-        out[i] = (out[i] + d) % p
-    return _ptrim(tuple(out))
 
 
 def _pmul(p, u, v):
@@ -68,34 +60,6 @@ def _pmod(p, u, mod):
                 u[len(u) - 1 - dm + i] = (u[len(u) - 1 - dm + i] - f * mod[i]) % p
         u.pop()
     return _ptrim(tuple(u))
-
-
-def _ppowmod(p, u, e, mod):
-    r = (1,)
-    b = _pmod(p, u, mod)
-    while e:
-        if e & 1:
-            r = _pmod(p, _pmul(p, r, b), mod)
-        b = _pmod(p, _pmul(p, b, b), mod)
-        e >>= 1
-    return r
-
-
-def _pgcd(p, u, v):
-    while v:
-        inv = pow(v[-1], p - 2, p)
-        r = list(u)
-        dv = len(v) - 1
-        while len(r) - 1 >= dv and r:
-            c = r[-1] % p
-            if c:
-                f = (c * inv) % p
-                for i in range(dv + 1):
-                    r[len(r) - 1 - dv + i] = (r[len(r) - 1 - dv + i] - f * v[i]) % p
-            r.pop()
-            r = list(_ptrim(tuple(r)))
-        u, v = v, _ptrim(tuple(r))
-    return u
 
 
 def _prime_factors(n):
@@ -127,25 +91,22 @@ def is_irreducible(p, coeffs):
     """Distinct-degree (Rabin) irreducibility test for a monic poly over F_p."""
     coeffs = _ptrim(tuple(c % p for c in coeffs))
     n = len(coeffs) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    # x^(p^n) == x mod f
-    t = x
-    for _ in range(n):
-        t = _ppowmod(p, t, p, coeffs)
-    if _padd(p, t, tuple((-c) % p for c in x)) != ():
-        return False
-    for ell in _prime_factors(n):
+    if n <= 1:
+        return n == 1
+    fp = Fq.get(p, 1, 1)
+    f = FPoly(fp, coeffs)
+    x = FPoly.x(fp)
+
+    def frobenius_power(k):
+        # x^(p^k) mod f
         t = x
-        for _ in range(n // ell):
-            t = _ppowmod(p, t, p, coeffs)
-        g = _pgcd(p, coeffs, _padd(p, t, tuple((-c) % p for c in x)))
-        if len(g) - 1 != 0:
-            return False
-    return True
+        for _ in range(k):
+            t = t.powmod(p, f)
+        return t
+
+    if frobenius_power(n) != x:
+        return False
+    return all(f.gcd(frobenius_power(n // ell) - x).deg == 0 for ell in _prime_factors(n))
 
 
 def canonical_modulus(p, n):
@@ -482,31 +443,33 @@ def poly_roots(coeffs, field: Fq):
     Returns [(root, multiplicity)].  Brute force for desk-scale fields;
     a powmod split handles anything larger.
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _trim_fq(coeffs)
     if not coeffs:
         raise ValueError("zero polynomial")
-    out = []
-    if field.size <= DESK_Q_MAX:
+    if field.size > DESK_Q_MAX:
+        roots = _poly_roots_large(coeffs, field)
+    else:
+        roots = []
         for x in field.elements():
             acc = 0
             for c in reversed(coeffs):
                 acc = field.add(field.mul(acc, x), c)
             if acc == 0:
-                mult = 0
-                work = coeffs
-                while True:
-                    quot, rem = _poly_divmod_linear(work, x, field)
-                    if rem != 0:
-                        break
-                    mult += 1
-                    work = quot
-                    if not work:
-                        break
-                out.append((x, mult))
-        return out
-    return _poly_roots_large(coeffs, field)
+                roots.append(x)
+    out = []
+    for r in sorted(roots):
+        mult = 0
+        work = coeffs
+        while True:
+            quot, rem = _poly_divmod_linear(work, r, field)
+            if rem != 0:
+                break
+            mult += 1
+            work = quot
+            if not work:
+                break
+        out.append((r, mult))
+    return out
 
 
 def _poly_divmod_linear(coeffs, r, field):
@@ -521,111 +484,42 @@ def _poly_divmod_linear(coeffs, r, field):
 
 
 def _poly_roots_large(coeffs, field):
-    # gcd with y^size - y isolates the split part, then deterministic
-    # affine shifts separate the roots.
-    p = field.p
+    # The distinct roots of coeffs.  The gcd with y^size - y isolates the
+    # split part; its roots separate by gcds with (y + s)^((size-1)/2) - 1
+    # for odd p, and for p = 2 with the traces Tr(gen^s * y), s < n: the
+    # gen^s form an F_2-basis, so some trace tells any two roots apart.
+    one = FPoly.const(field, 1)
+    y = FPoly.x(field)
 
-    def norm(u):
-        u = list(u)
-        while u and u[-1] == 0:
-            u.pop()
-        return u
+    def splitter(s, mod):
+        if field.p > 2:
+            return (y + FPoly.const(field, s)).powmod((field.size - 1) // 2, mod) - one
+        cur = y.scale(field.pow(field.gen, s)) % mod
+        tr = cur
+        for _ in range(field.n - 1):
+            cur = cur * cur % mod
+            tr = tr + cur
+        return tr
 
-    def pdiv(u, v):
-        u = norm(u)
-        v = norm(v)
-        inv = field.inv(v[-1])
-        q = [0] * max(0, len(u) - len(v) + 1)
-        while len(u) >= len(v) and u:
-            f = field.mul(u[-1], inv)
-            q[len(u) - len(v)] = f
-            for i in range(len(v)):
-                u[len(u) - len(v) + i] = field.sub(u[len(u) - len(v) + i], field.mul(f, v[i]))
-            u = norm(u)
-        return q, u
-
-    def pgcd(u, v):
-        u, v = norm(u), norm(v)
-        while v:
-            u, v = v, pdiv(u, v)[1]
-        if u:
-            inv = field.inv(u[-1])
-            u = [field.mul(c, inv) for c in u]
-        return u
-
-    def pmulmod(u, v, mod):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, cu in enumerate(u):
-            if cu:
-                for j, cv in enumerate(v):
-                    out[i + j] = field.add(out[i + j], field.mul(cu, cv))
-        return pdiv(out, mod)[1]
-
-    def powmod(u, e, mod):
-        r = [1]
-        b = pdiv(u, mod)[1]
-        while e:
-            if e & 1:
-                r = pmulmod(r, b, mod)
-            b = pmulmod(b, b, mod)
-            e >>= 1
-        return r
-
-    sq = pgcd(coeffs, [field.sub(c2, c1) for c1, c2 in _pairup(powmod([0, 1], field.size, coeffs), [0, 1])])
     roots = []
 
     def split(g):
-        g = norm(g)
-        if len(g) == 1:
+        if g.deg == 1:
+            roots.append(field.neg(g.coeffs[0]))
             return
-        if len(g) == 2:
-            roots.append(field.neg(field.mul(g[0], field.inv(g[1]))))
-            return
-        e = (field.size - 1) // (p - 1) if p > 2 else None
-        shift = 0
-        while True:
-            if p == 2:
-                # trace map splitting
-                tr = [0, 1]
-                cur = [0, 1]
-                for _ in range(field.n - 1):
-                    cur = pmulmod(cur, cur, g)
-                    tr = [field.add(a, b) for a, b in _pairup(tr, cur)]
-                h = pgcd(g, tr)
-            else:
-                base = powmod([shift, 1], e, g)
-                base[0] = field.sub(base[0], 1)
-                h = pgcd(g, base)
-            if 0 < len(h) - 1 < len(g) - 1:
+        for s in range(field.n if field.p == 2 else field.size):
+            h = g.gcd(splitter(s, g))
+            if 0 < h.deg < g.deg:
                 split(h)
-                split(pdiv(g, h)[0])
+                split(g // h)
                 return
-            shift += 1
-            if shift > field.size:
-                raise RuntimeError("root splitting failed")
+        raise RuntimeError("root splitting failed")
 
-    split(sq)
-    out = []
-    for r in sorted(roots):
-        mult = 0
-        work = list(coeffs)
-        while True:
-            quot, rem = _poly_divmod_linear(work, r, field)
-            if rem != 0:
-                break
-            mult += 1
-            work = quot
-            if not work:
-                break
-        out.append((r, mult))
-    return out
-
-
-def _pairup(u, v):
-    n = max(len(u), len(v))
-    u = list(u) + [0] * (n - len(u))
-    v = list(v) + [0] * (n - len(v))
-    return list(zip(u, v))
+    g = FPoly(field, coeffs)
+    sq = g.gcd(y.powmod(field.size, g) - y)
+    if sq.deg > 0:
+        split(sq)
+    return roots
 
 
 def poly_roots_in_ext(coeffs, source: Fq, target: Fq, require_all=False):
@@ -755,6 +649,17 @@ class FPoly:
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
+
+    def powmod(self, e, mod):
+        """self^e mod `mod`, by repeated squaring."""
+        r = FPoly.const(self.field, 1, self.var) % mod
+        b = self % mod
+        while e:
+            if e & 1:
+                r = r * b % mod
+            b = b * b % mod
+            e >>= 1
+        return r
 
     def gcd(self, other):
         a, b = self, other

@@ -151,6 +151,12 @@ class InfElem:
             return self
         return InfElem(self.field, self.e, {k: c for k, c in self.coeffs.items() if k < prec_units}, prec_units, self.var)
 
+    def at_prec(self, prec_units):
+        """The recorded digits below prec_units, read as known to exactly
+        prec_units.  For a Newton iterate, an exact approximation, raising
+        the precision claims only that the digits past it are zero."""
+        return InfElem(self.field, self.e, self.coeffs, prec_units, self.var)
+
     def with_prec_val(self, prec_val):
         return self.truncate(int(prec_val * self.e))
 
@@ -220,22 +226,21 @@ class InfElem:
             raise DivisionByApparentZero("division by zero at precision")
         f = self.field
         L = self.lead_exp
-        c = self.coeffs[L]
         relprec = self.prec - L
         if relprec <= 0:
             raise PrecisionExhausted("no significant digits left for inversion")
-        # self = c*u^L * (1 + x), val(x) > 0
-        unit = self.mono_mul(f.inv(c), -L)
-        x = InfElem(f, self.e, {k: v for k, v in unit.coeffs.items() if k != 0}, relprec, self.var)
-        one = InfElem(f, self.e, {0: 1}, relprec, self.var)
-        # 1/(1+x) = prod (1 + (-x)^(2^j))  via geometric doubling,
-        # truncated to the relative precision that survives division
-        acc = one
-        term = (-x).truncate(relprec)
-        while term.coeffs:
-            acc = (acc * (one + term)).truncate(relprec)
-            term = (term * term).truncate(relprec)
-        return acc.mono_mul(f.inv(c), -L).truncate(self.prec - 2 * L)
+        # self = c*u^L * unit with unit = 1 + O(u).  The Newton step
+        # y <- y - y*(unit*y - 1) doubles the correct digits of 1/unit, so
+        # each step runs at twice the relative precision of the last.
+        cinv = f.inv(self.coeffs[L])
+        unit = self.mono_mul(cinv, -L)
+        y = InfElem(f, self.e, {0: 1}, 1, self.var)
+        while y.prec < relprec:
+            w = min(2 * y.prec, relprec)
+            y = y.at_prec(w)
+            err = unit.truncate(w) * y - InfElem(f, self.e, {0: 1}, w, self.var)
+            y = y - y * err
+        return y.mono_mul(cinv, -L)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -326,21 +331,12 @@ class InfElem:
         fld, croot = _const_nth_root(elem.field, c, n)
         elem = elem.lift(fld, elem.e)
         L = elem.lead_exp
-        # strip the leading monomial: elem = c u^L (1 + x)
+        # strip the leading monomial: elem = c u^L * unit, then lift the
+        # root y0 = 1 of y^n - unit; it is simple, n being prime to p
         unit = elem.mono_mul(fld.inv(elem.coeffs[L]), -L)
-        relprec = unit.prec
-        one = InfElem(fld, elem.e, {0: 1}, relprec, self.var)
-        # Hensel for y^n = unit, y0 = 1; derivative n*y^(n-1) is a unit
-        y = one
-        n_inv = fld.inv(fld.scalar(n % fld.p))
-        for _ in range(80):
-            err = y**n - unit
-            if err.is_zero():
-                break
-            step = err * (y ** (n - 1)).inverse()
-            y = y - step.scale(n_inv)
-        else:
-            raise PrecisionExhausted("root refinement did not stabilize")
+        zero = InfElem(fld, elem.e, {}, unit.prec, self.var)
+        one = InfElem(fld, elem.e, {0: 1}, unit.prec, self.var)
+        y = _hensel_lift([-unit] + [zero] * (n - 1) + [one], 1, fld, 0, elem.e)
         root = y.mono_mul(croot, L // n)
         # absolute precision: d(a^(1/n)) = da / (n a^((n-1)/n))
         lead_val = Fraction(L, elem.e)
@@ -782,17 +778,38 @@ def _taylor_shift(f, a):
 
 
 def _hensel_lift(f, cbar, cfield, mup, e2):
+    """Lift the simple residual root cbar*u^mup to a root of f.
+
+    Each Newton step doubles the correct digits, so the lift runs at the
+    relative precisions r = 2, 4, 8, ... above the root's lead mup (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 9): y is cut to mup + r
+    and coefficient i to vmin - i*mup + r, vmin being the least valuation
+    of a term f_i y^i.  The last pass runs on the full coefficients and
+    returns only when f(y) vanishes at full precision, which certifies the
+    root.
+    """
     base = f[0].field
     fld = base.compositum(cfield) if cfield is not base else base
     lifted = [c.lift(fld, e2) for c in f]
     phi = cfield.embed_into(fld) if cfield is not fld else (lambda x: x)
     prec = max(c.prec for c in lifted)
+    vmin = min(c.lead_exp + mup * i for i, c in enumerate(lifted) if not c.is_zero())
     y = InfElem(fld, e2, {mup: phi(cbar)}, prec, f[0].var)
-    deriv = _poly_deriv(lifted)
+    r = 2
+    while mup + r < prec:
+        work = [c.truncate(vmin - mup * i + r) for i, c in enumerate(lifted)]
+        y = _newton(work, y.at_prec(mup + r))
+        r *= 2
+    return _newton(lifted, y.at_prec(prec))
+
+
+def _newton(f, y):
+    """Newton's iteration for a root of f from y, at y's precision."""
+    deriv = _poly_deriv(f)
     stall = 0
     last_val = None
     for _ in range(200):
-        fy = _poly_eval(lifted, y)
+        fy = _poly_eval(f, y)
         if fy.is_zero():
             return y
         dy = _poly_eval(deriv, y)

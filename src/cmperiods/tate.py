@@ -51,8 +51,10 @@ class Decay:
             return Decay("qpow", self.A + other.A + b, b, self.q)
         lin = self if self.kind == "linear" else other
         qp = other if self.kind == "linear" else self
-        # endpoint i = k on the linear side dominates
-        return Decay("linear", lin.A + qp.A + qp.B * qp.q, lin.B)
+        if qp.B < 0:
+            return None
+        # q^j >= 1 + (q-1)j (Bernoulli), so val(b_j) >= qp.A + qp.B + qp.B(q-1)j
+        return Decay("linear", lin.A + qp.A + qp.B, min(lin.B, qp.B * (qp.q - 1)))
 
     def tail_min(self, i0, weight=1):
         """min over i >= i0 of bound(i) - weight*i (tail of sum a_i theta^i)."""

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,6 +9,7 @@ from cmperiods.arith import (
     canonical_modulus,
     ff_frobenius,
     is_irreducible,
+    poly_roots,
     poly_roots_in_ext,
 )
 from cmperiods.errors import TargetTooSmall
@@ -152,3 +154,22 @@ def test_large_field_path():
     assert F.mul(x, F.inv(x)) == 1
     assert ff_frobenius(F, ff_frobenius(F, x, 3), -3) == x
     assert F.dlog(F.pow(F.gen, 777)) == 777
+
+
+@pytest.mark.parametrize(
+    "p, n, roots",
+    [(2, 17, [5, 77777, 77777]), (3, 11, [7, 7, 12345, 100000]), (257, 3, [3, 1000000, 3])],
+)
+def test_large_field_planted_roots(p, n, roots):
+    # fields above DESK_Q_MAX are split by gcds, not searched; each case
+    # plants one double root
+    F = Fq.get(p, 1, n)
+    f = FPoly.const(F, 1)
+    for r in roots:
+        f = f * FPoly(F, [F.neg(r), 1])
+    if p == 2:
+        # 5 and 77777 have the same trace, so a split by Tr(y) alone never
+        # separates them
+        trace = [reduce(F.add, (F.frob(x, k) for k in range(n))) for x in (5, 77777)]
+        assert trace == [1, 1]
+    assert poly_roots(list(f.coeffs), F) == sorted((r, roots.count(r)) for r in set(roots))

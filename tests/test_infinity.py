@@ -5,6 +5,7 @@ import pytest
 
 from cmperiods.arith import Fq
 from cmperiods.errors import DivisionByApparentZero, NotAPower
+from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import (
     InfElem,
     _kronecker_mul,
@@ -270,3 +271,84 @@ def test_json_round_trip_bit_exact():
     assert b.field is a.field
     assert b.coeffs == a.coeffs and b.prec == a.prec and b.e == a.e
     assert b.to_json() == obj
+
+
+# -- the Newton kernels at doubling precision against naive references ------
+
+NEWTON_FIELDS = [F2, F3, F9, F257, F4093]
+NEWTON_IDS = ["F2", "F3", "F9", "F257", "F4093"]
+# 1, 2, 3 and both sides of the doubling steps 16 and 64
+RELPRECS = [1, 2, 3, 15, 16, 17, 63, 64, 65]
+
+
+def _battery(field, e, seed):
+    """Sparse and dense elements at every relative precision in RELPRECS."""
+    rng = random.Random(seed)
+    for rel in RELPRECS:
+        for density in (0.1, 0.9):
+            lead = rng.randrange(-5, 6)
+            coeffs = {k: rng.randrange(1, field.size) for k in range(lead + 1, lead + rel) if rng.random() < density}
+            coeffs[lead] = rng.randrange(1, field.size)
+            yield InfElem(field, e, coeffs, lead + rel)
+
+
+def _schoolbook_inverse(x):
+    """1/x digit by digit: y_0 = 1/c and y_k = -(1/c) sum_{j=1..k} x_{L+j} y_{k-j}."""
+    f = x.field
+    L = x.lead_exp
+    cinv = f.inv(x.coeffs[L])
+    y = [cinv]
+    for k in range(1, x.prec - L):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = f.add(acc, f.mul(x.coeffs.get(L + j, 0), y[k - j]))
+        y.append(f.neg(f.mul(cinv, acc)))
+    return InfElem(f, x.e, {k - L: c for k, c in enumerate(y)}, x.prec - 2 * L)
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+@pytest.mark.parametrize("e", [1, 2, 4])
+def test_inverse_matches_schoolbook(field, e):
+    for x in _battery(field, e, seed=field.size + e):
+        inv = x.inverse()
+        want = _schoolbook_inverse(x)
+        assert inv.prec == want.prec == x.prec - 2 * x.lead_exp
+        assert inv.coeffs == want.coeffs
+        one = x * inv
+        assert one.coeffs == {0: 1} and one.prec == x.prec - x.lead_exp
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+@pytest.mark.parametrize("e", [1, 2, 4])
+def test_nth_root_power_gives_back(field, e):
+    rng = random.Random(3 * field.size + e)
+    for n in (2, 3, 5):
+        for x in _battery(field, e, seed=field.size * n + e):
+            # an n-th power as lead coefficient keeps the root in the field
+            L = x.lead_exp
+            x.coeffs[L] = field.pow(rng.randrange(1, field.size), n)
+            y = x.nth_root(n)
+            assert y.field is field
+            want = x.lift(field, y.e)
+            diff = y**n - want
+            assert diff.is_zero()
+            if n % field.p:
+                # the root's precision rule d(x^(1/n)) = dx / (n x^((n-1)/n)) is exact
+                assert diff.prec == want.prec
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [("carlitz", 2), ("carlitz", 3), ("carlitz", 4), ("kummer-t:3", None), ("const-ext:2", None)],
+)
+def test_torsion_roots_stable_under_more_precision(name, q):
+    # a root read at prec N carries the same digits, below its own
+    # precision, as the same root read at prec N + 20
+    N = 40
+    lo = get_fixture(name, q=q, N=N).tmodule.t_torsion()
+    hi = get_fixture(name, q=q, N=N + 20).tmodule.t_torsion()
+    assert len(lo) == len(hi)
+    for a, b in zip(lo, hi):
+        assert a.field is b.field and a.e == b.e
+        assert a.prec <= b.prec
+        assert a.coeffs == {k: c for k, c in b.coeffs.items() if k < a.prec}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,45 @@ def test_eval_theta_requires_decay():
     f = TateSeries([InfElem.const(F3, 1, 20)] * 4)
     with pytest.raises(NoDecay):
         f.eval_theta()
+
+
+def test_mixed_decay_product_reproduction():
+    # linear(0, 1) with a_i = u^i times qpow(0, 1, q = 3) with b_j = u^(3^j):
+    # c_0 = a_0 b_0 has valuation 1, below the A = 0 + 0 + 1*3 once declared
+    lin = TateSeries([InfElem(F3, 1, {i: 1}, 60) for i in range(5)], Decay("linear", 0, 1))
+    qp = TateSeries([InfElem(F3, 1, {3**j: 1}, 200) for j in range(5)], Decay("qpow", 0, 1, 3))
+    for prod in (lin * qp, qp * lin):
+        assert prod[0].val() == 1
+        assert prod.check_decay()
+        assert (prod.decay.A, prod.decay.B) == (1, 1)
+    # a negative qpow slope bounds no product: no descriptor, no evaluation
+    shrinking = TateSeries(qp.coeffs, Decay("qpow", 0, -1, 3))
+    assert (lin * shrinking).decay is None
+    with pytest.raises(NoDecay):
+        (lin * shrinking).eval_theta()
+
+
+def _decayed(rng, decay, T, e):
+    """Random series whose coefficient valuations sit at or just above decay."""
+    coeffs = []
+    for i in range(T):
+        lead = -((-decay.bound(i) * e) // 1) + rng.choice([0, 0, 1, 2])
+        digits = {k: rng.randrange(1, 3) for k in range(lead + 1, lead + 8) if rng.random() < 0.5}
+        digits[lead] = rng.randrange(1, 3)
+        coeffs.append(InfElem(F3, e, digits, lead + 8))
+    return TateSeries(coeffs, decay)
+
+
+def test_mixed_decay_products_randomized():
+    rng = random.Random(11)
+    for _ in range(40):
+        e = rng.choice([1, 2])
+        lin = Decay("linear", rng.randrange(-4, 5), Fraction(rng.randrange(1, 7), rng.randrange(1, 3)))
+        qp = Decay("qpow", rng.randrange(-4, 5), Fraction(rng.randrange(0, 5), rng.randrange(1, 3)), 3)
+        a = _decayed(rng, lin, 5, e)
+        b = _decayed(rng, qp, 5, e)
+        assert a.check_decay() and b.check_decay()
+        assert (a * b).check_decay() and (b * a).check_decay()
 
 
 def test_eval_ring_morphism():
