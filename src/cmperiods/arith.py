@@ -26,8 +26,7 @@ _FIELD_CACHE: dict[tuple, "Fq"] = {}
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] digit tuples under Fq's own multiplication (little-endian, no
-# trailing zeros); every other polynomial is an FPoly
+# F_p[x] helpers on digit tuples (little-endian, no trailing zeros)
 
 
 def _ptrim(c):
@@ -35,6 +34,15 @@ def _ptrim(c):
     while n and c[n - 1] == 0:
         n -= 1
     return c[:n]
+
+
+def _padd(p, u, v):
+    if len(u) < len(v):
+        u, v = v, u
+    out = list(u)
+    for i, d in enumerate(v):
+        out[i] = (out[i] + d) % p
+    return _ptrim(tuple(out))
 
 
 def _pmul(p, u, v):
@@ -60,6 +68,34 @@ def _pmod(p, u, mod):
                 u[len(u) - 1 - dm + i] = (u[len(u) - 1 - dm + i] - f * mod[i]) % p
         u.pop()
     return _ptrim(tuple(u))
+
+
+def _ppowmod(p, u, e, mod):
+    r = (1,)
+    b = _pmod(p, u, mod)
+    while e:
+        if e & 1:
+            r = _pmod(p, _pmul(p, r, b), mod)
+        b = _pmod(p, _pmul(p, b, b), mod)
+        e >>= 1
+    return r
+
+
+def _pgcd(p, u, v):
+    while v:
+        inv = pow(v[-1], p - 2, p)
+        r = list(u)
+        dv = len(v) - 1
+        while len(r) - 1 >= dv and r:
+            c = r[-1] % p
+            if c:
+                f = (c * inv) % p
+                for i in range(dv + 1):
+                    r[len(r) - 1 - dv + i] = (r[len(r) - 1 - dv + i] - f * v[i]) % p
+            r.pop()
+            r = list(_ptrim(tuple(r)))
+        u, v = v, _ptrim(tuple(r))
+    return u
 
 
 def _prime_factors(n):
@@ -91,22 +127,25 @@ def is_irreducible(p, coeffs):
     """Distinct-degree (Rabin) irreducibility test for a monic poly over F_p."""
     coeffs = _ptrim(tuple(c % p for c in coeffs))
     n = len(coeffs) - 1
-    if n <= 1:
-        return n == 1
-    fp = Fq.get(p, 1, 1)
-    f = FPoly(fp, coeffs)
-    x = FPoly.x(fp)
-
-    def frobenius_power(k):
-        # x^(p^k) mod f
-        t = x
-        for _ in range(k):
-            t = t.powmod(p, f)
-        return t
-
-    if frobenius_power(n) != x:
+    if n <= 0:
         return False
-    return all(f.gcd(frobenius_power(n // ell) - x).deg == 0 for ell in _prime_factors(n))
+    if n == 1:
+        return True
+    x = (0, 1)
+    # x^(p^n) == x mod f
+    t = x
+    for _ in range(n):
+        t = _ppowmod(p, t, p, coeffs)
+    if _padd(p, t, tuple((-c) % p for c in x)) != ():
+        return False
+    for ell in _prime_factors(n):
+        t = x
+        for _ in range(n // ell):
+            t = _ppowmod(p, t, p, coeffs)
+        g = _pgcd(p, coeffs, _padd(p, t, tuple((-c) % p for c in x)))
+        if len(g) - 1 != 0:
+            return False
+    return True
 
 
 def canonical_modulus(p, n):

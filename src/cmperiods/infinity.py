@@ -786,7 +786,8 @@ def _hensel_lift(f, cbar, cfield, mup, e2):
     and coefficient i to vmin - i*mup + r, vmin being the least valuation
     of a term f_i y^i.  The last pass runs on the full coefficients and
     returns only when f(y) vanishes at full precision, which certifies the
-    root.
+    root.  As cbar is simple, f'(y) has lead exactly vmin - mup, and the
+    root is claimed only to that much below the precision of f(y).
     """
     base = f[0].field
     fld = base.compositum(cfield) if cfield is not base else base
@@ -798,25 +799,26 @@ def _hensel_lift(f, cbar, cfield, mup, e2):
     r = 2
     while mup + r < prec:
         work = [c.truncate(vmin - mup * i + r) for i, c in enumerate(lifted)]
-        y = _newton(work, y.at_prec(mup + r))
+        y = _newton(work, y.at_prec(mup + r), vmin - mup)
         r *= 2
-    return _newton(lifted, y.at_prec(prec))
+    return _newton(lifted, y.at_prec(prec), vmin - mup)
 
 
-def _newton(f, y):
-    """Newton's iteration for a root of f from y, at y's precision."""
+def _newton(f, y, dval):
+    """Newton's iteration for a root of f from y, at y's precision; dval is
+    the lead exponent of f'(y), the same for every iterate."""
     deriv = _poly_deriv(f)
     stall = 0
     last_val = None
     for _ in range(200):
         fy = _poly_eval(f, y)
         if fy.is_zero():
-            return y
-        dy = _poly_eval(deriv, y)
-        step = fy / dy
+            # f(y) = O(u^P) pins the root down only to u^(P - dval)
+            return y.truncate(fy.prec - dval)
+        step = fy / _poly_eval(deriv, y)
+        y = y - step
         if step.is_zero():
             return y
-        y = y - step
         v = fy.val()
         if last_val is not None and v <= last_val:
             stall += 1

@@ -352,3 +352,23 @@ def test_torsion_roots_stable_under_more_precision(name, q):
         assert a.field is b.field and a.e == b.e
         assert a.prec <= b.prec
         assert a.coeffs == {k: c for k, c in b.coeffs.items() if k < a.prec}
+
+
+@pytest.mark.parametrize("P", [60, 80])
+def test_root_with_zero_upper_digits_claims_no_more_than_it_knows(P):
+    # f = u^5 (y - a)(y - b) over F_3 with a = 1 + u^20 + u^57, b = 1/u and
+    # every coefficient known to u^P.  At P = 60 the doubling passes end on
+    # y = 1 + u^20, where f(y) already vanishes at precision; but
+    # val f'(a) = 4, so f pins a down only to u^(P - 4), and a claim above
+    # u^57 would hide the 1 there.
+    a = InfElem(F3, 1, {0: 1, 20: 1, 57: 1}, 200)
+    b = InfElem(F3, 1, {-1: 1}, 200)
+    u5 = InfElem(F3, 1, {5: 1}, 200)
+    f = [(u5 * a * b).truncate(P), (-(u5 * (a + b))).truncate(P), u5.truncate(P)]
+    roots = sorted((r for r, _ in newton_roots(f)), key=lambda r: r.lead_exp)
+    hi = [(u5 * a * b).truncate(P + 20), (-(u5 * (a + b))).truncate(P + 20), u5.truncate(P + 20)]
+    roots_hi = sorted((r for r, _ in newton_roots(hi)), key=lambda r: r.lead_exp)
+    for r, r_hi, exact in zip(roots, roots_hi, [b, a]):
+        assert r.prec <= P - 4
+        assert r.coeffs == {k: c for k, c in exact.coeffs.items() if k < r.prec}
+        assert r.coeffs == {k: c for k, c in r_hi.coeffs.items() if k < r.prec}
