@@ -11,6 +11,11 @@ without a Conway-polynomial database.
 
 Fields of size at most 2^12 carry discrete-log tables; multiplication in
 larger fields falls back to polynomial arithmetic.
+
+The dense-polynomial toolkit at the end (poly_* and Poly) serves every
+other coefficient ring of the package: the exact scalars of shtuka.py and
+the Puiseux series of infinity.py.  FPoly keeps its own arithmetic, on
+plain field ints.
 """
 
 from __future__ import annotations
@@ -188,12 +193,15 @@ class Fq:
         self._vec = None
         self._log = None
         self._exp = None
-        self._red = None
+        # digit vectors of x^(n+k) mod modulus for k = 0..n-1
+        self._red = []
+        cur = _pmod(p, (0,) * self.n + (1,), modulus)
+        for _ in range(self.n):
+            self._red.append(tuple(cur) + (0,) * (self.n - len(cur)))
+            cur = _pmod(p, (0,) + tuple(cur), modulus)
+        self.gen = self._find_generator()
         if self.size <= TABLE_MAX:
             self._build_tables()
-        else:
-            self._build_reduction()
-        self.gen = self._find_generator()
 
     # -- construction ------------------------------------------------------
 
@@ -238,50 +246,18 @@ class Fq:
         return tuple(out)
 
     def _raw_mul(self, x, y):
-        prod = _pmul(self.p, self._decode(x), self._decode(y))
-        if len(prod) > self.n:
-            if self._red is None:
-                self._build_reduction()
-            acc = list(prod[: self.n]) + [0] * max(0, self.n - len(prod))
-            for k in range(self.n, len(prod)):
-                if prod[k]:
-                    red = self._red[k - self.n]
-                    for i, d in enumerate(red):
-                        acc[i] = (acc[i] + prod[k] * d) % self.p
-            prod = _ptrim(tuple(acc))
-        return self._encode(prod)
-
-    def _build_reduction(self):
-        # digit vectors of x^(n+k) mod modulus for k = 0..n-2
-        self._red = []
-        cur = _pmod(self.p, (0,) * self.n + (1,), self.modulus)
-        for _ in range(self.n):
-            vec = list(cur) + [0] * (self.n - len(cur))
-            self._red.append(tuple(vec))
-            cur = _pmod(self.p, (0,) + tuple(cur), self.modulus)
+        return self.reduce_digits(_pmul(self.p, self._decode(x), self._decode(y)))
 
     def _build_tables(self):
-        self._build_reduction()
         self._vec = [self._decode(x) for x in range(self.size)]
-        # find a multiplicative generator by brute order test
         order = self.size - 1
-        primes = _prime_factors(order) if order > 1 else []
-        gen = None
-        for cand in range(1, self.size):
-            if cand == 1 and order > 1:
-                continue
-            if all(self._pow_raw(cand, order // ell) != 1 for ell in primes):
-                gen = cand
-                break
-        if gen is None:
-            gen = 1
         self._exp = [1] * max(order, 1)
         self._log = [0] * self.size
         acc = 1
         for i in range(order):
             self._exp[i] = acc
             self._log[acc] = i
-            acc = self._raw_mul(acc, gen)
+            acc = self._raw_mul(acc, self.gen)
 
     def _pow_raw(self, x, e):
         r = 1
@@ -294,8 +270,7 @@ class Fq:
         return r
 
     def _find_generator(self):
-        if self._exp is not None:
-            return self._exp[1] if self.size > 2 else 1
+        # the least element of full multiplicative order
         order = self.size - 1
         primes = _prime_factors(order)
         for cand in range(2, self.size):
@@ -388,8 +363,6 @@ class Fq:
 
     def reduce_digits(self, vec):
         """Element from a digit vector of length up to 2n-1 (reduced mod modulus)."""
-        if self._red is None:
-            self._build_reduction()
         p = self.p
         acc = [d % p for d in vec[: self.n]]
         acc += [0] * (self.n - len(acc))
@@ -497,29 +470,15 @@ def poly_roots(coeffs, field: Fq):
                 roots.append(x)
     out = []
     for r in sorted(roots):
-        mult = 0
-        work = coeffs
+        lin = FPoly(field, (field.neg(r), 1))
+        work, mult = FPoly(field, coeffs), 0
         while True:
-            quot, rem = _poly_divmod_linear(work, r, field)
-            if rem != 0:
+            quot, rem = work.divmod(lin)
+            if not rem.is_zero():
                 break
-            mult += 1
-            work = quot
-            if not work:
-                break
+            work, mult = quot, mult + 1
         out.append((r, mult))
     return out
-
-
-def _poly_divmod_linear(coeffs, r, field):
-    """Divide by (y - r): returns (quotient coeffs, remainder scalar)."""
-    quot = [0] * (len(coeffs) - 1)
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = field.add(field.mul(acc, r), coeffs[i])
-        quot[i - 1] = acc
-    rem = field.add(field.mul(acc, r), coeffs[0])
-    return quot, rem
 
 
 def _poly_roots_large(coeffs, field):
@@ -728,3 +687,170 @@ class FPoly:
             else:
                 parts.append(f"{c}*{self.var}^{k}" if c != 1 else f"{self.var}^{k}")
         return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials over any commutative ring
+#
+# A polynomial is a coefficient list, constant term first, over a ring
+# whose elements provide + - *, inverse() and is_zero(): the exact scalars
+# of shtuka.py, InfElem Puiseux series, and polynomials over either.  No
+# zero element is ever made up, because an InfElem zero carries a
+# precision.  Sums, products and remainders drop their trailing zeros;
+# evaluation and synthetic division keep every coefficient they are given.
+# The algorithms are the classical ones (von zur Gathen-Gerhard, Modern
+# Computer Algebra, ch. 2-3).
+
+
+def poly_norm(f):
+    """f without its trailing zero coefficients."""
+    n = len(f)
+    while n and f[n - 1].is_zero():
+        n -= 1
+    return list(f[:n])
+
+
+def poly_add(f, g):
+    n = min(len(f), len(g))
+    return poly_norm([a + b for a, b in zip(f, g)] + list(f[n:]) + list(g[n:]))
+
+
+def poly_neg(f):
+    return [-c for c in f]
+
+
+def poly_sub(f, g):
+    n = min(len(f), len(g))
+    return poly_norm([a - b for a, b in zip(f, g)] + list(f[n:]) + poly_neg(g[n:]))
+
+
+def poly_mul(f, g):
+    if not f or not g:
+        return []
+    out = [None] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            t = a * b
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return poly_norm(out)
+
+
+def poly_scale(f, c):
+    return poly_norm([a * c for a in f])
+
+
+def poly_divmod(f, g):
+    """Quotient and remainder of f by g.  A zero top coefficient of the
+    running remainder gives a zero quotient term and subtracts nothing."""
+    f, g = poly_norm(f), poly_norm(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    inv = g[-1].inverse()
+    quot = [None] * max(0, len(f) - dg)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = f[k + dg] * inv
+        if not c.is_zero():
+            for i in range(dg):
+                f[k + i] = f[k + i] - c * g[i]
+    return quot, poly_norm(f[:dg])
+
+
+def poly_div_linear(f, r):
+    """Synthetic division by (y - r): the quotient and the value f(r)."""
+    acc = [f[-1]]
+    for c in reversed(f[:-1]):
+        acc.append(acc[-1] * r + c)
+    value = acc.pop()
+    return acc[::-1], value
+
+
+def poly_eval(f, x):
+    """f(x) by Horner's rule."""
+    return poly_div_linear(f, x)[1]
+
+
+def poly_taylor(f, a):
+    """The coefficients of f(a + z) in z, by repeated synthetic division."""
+    out = []
+    while f:
+        f, value = poly_div_linear(f, a)
+        out.append(value)
+    return out
+
+
+def poly_gcd(f, g):
+    """The last nonzero remainder of Euclid's algorithm, not made monic."""
+    f, g = poly_norm(f), poly_norm(g)
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return f
+
+
+def poly_inv_mod(f, m):
+    """s with s*f = 1 modulo m over a field, by the extended Euclidean
+    algorithm; ZeroDivisionError unless f is a unit modulo m."""
+    a, b = poly_norm(m), poly_norm(f)
+    if not b:
+        raise ZeroDivisionError("inverse of zero")
+    inv = b[-1].inverse()
+    # invariants: sa*f = a and sb*f = b modulo m
+    sa, sb, b = [], [inv], poly_scale(b, inv)
+    while b:
+        quot, rem = poly_divmod(a, b)
+        a, b, sa, sb = b, rem, sb, poly_sub(sa, poly_mul(quot, sb))
+    if len(a) != 1:
+        raise ZeroDivisionError("not a unit modulo m")
+    return poly_scale(sa, a[0].inverse())
+
+
+class Poly:
+    """A polynomial of the toolkit above as a value: coefficients without
+    trailing zeros, in a tagged variable."""
+
+    __slots__ = ("coeffs", "var")
+
+    def __init__(self, coeffs, var):
+        self.coeffs = tuple(poly_norm(coeffs))
+        self.var = var
+
+    def _like(self, coeffs):
+        return Poly(coeffs, self.var)
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, o):
+        return self._like(poly_add(self.coeffs, o.coeffs))
+
+    def __neg__(self):
+        return self._like(poly_neg(self.coeffs))
+
+    def __sub__(self, o):
+        return self._like(poly_sub(self.coeffs, o.coeffs))
+
+    def __mul__(self, o):
+        return self._like(poly_mul(self.coeffs, o.coeffs))
+
+    def scale(self, c):
+        return self._like(poly_scale(self.coeffs, c))
+
+    def divmod(self, o):
+        quot, rem = poly_divmod(self.coeffs, o.coeffs)
+        return self._like(quot), self._like(rem)
+
+    def __eq__(self, o):
+        return isinstance(o, Poly) and self.coeffs == o.coeffs
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        return " + ".join(
+            f"({c})*{self.var}^{k}" if k else f"({c})"
+            for k, c in enumerate(self.coeffs)
+            if not c.is_zero()
+        )

@@ -155,30 +155,17 @@ class CMFieldModel:
 
     # -- minimal polynomial over a chosen variable ---------------------------
 
-    def min_poly_at_theta(self, prec):
-        """m(theta, y) as a coefficient list of InfElems in y."""
+    def min_poly(self, prec, var="theta"):
+        """m(var, y) as a coefficient list of InfElems in y: over
+        F_q((1/theta)) for the points, over F_q((1/t)) for validation."""
         if self.kind == "monogenic":
-            u = InfElem.from_poly(self.base, self.u_coeffs, prec)
-            zero = InfElem.zero(self.base, prec)
-            one = InfElem.const(self.base, 1, prec)
+            u = InfElem.from_poly(self.base, self.u_coeffs, prec, var=var)
+            zero = InfElem.zero(self.base, prec, var=var)
+            one = InfElem.const(self.base, 1, prec, var=var)
             return [-u] + [zero] * (self.E - 1) + [one]
         if self.kind == "constant-ext":
             return [
-                InfElem.const(self.base, c, prec)
-                for c in self.const_field.modulus
-            ]
-        raise ValueError("rational model has no minimal polynomial")
-
-    def min_poly_at_infty(self, prec):
-        """Same data read over F_q((1/t)) for validation."""
-        if self.kind == "monogenic":
-            u = InfElem.from_poly(self.base, self.u_coeffs, prec, var="t")
-            zero = InfElem.zero(self.base, prec, var="t")
-            one = InfElem.const(self.base, 1, prec, var="t")
-            return [-u] + [zero] * (self.E - 1) + [one]
-        if self.kind == "constant-ext":
-            return [
-                InfElem.const(self.base, c, prec, var="t")
+                InfElem.const(self.base, c, prec, var=var)
                 for c in self.const_field.modulus
             ]
         raise ValueError("rational model has no minimal polynomial")
@@ -240,7 +227,7 @@ class CMFieldModel:
         return pts
 
     def _points_monogenic(self, prec):
-        roots = newton_roots(self.min_poly_at_theta(prec))
+        roots = newton_roots(self.min_poly(prec))
         if sum(m for _, m in roots) != self.E:
             raise PrecisionExhausted("point count does not match the degree")
         u = InfElem.from_poly(self.base, self.u_coeffs, prec)
@@ -336,7 +323,7 @@ def validate_cm_field(model: CMFieldModel, prec=80):
     }
     if model.kind == "rational":
         return report
-    roots = newton_roots(model.min_poly_at_infty(prec))
+    roots = newton_roots(model.min_poly(prec, var="t"))
     classes = _places_from_roots([r for r, m in roots for _ in range(m)])
     report["places_above_infinity"] = len(classes)
     report["place_data"] = [

@@ -24,7 +24,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import Fq
+from .arith import Fq, poly_div_linear, poly_divmod, poly_eval, poly_gcd, poly_norm, poly_taylor
 from .errors import (
     DivisionByApparentZero,
     NotAPower,
@@ -367,6 +367,16 @@ class InfElem:
         return InfElem(f, obj["e"], coeffs, obj["prec_N"], obj.get("var", "theta"))
 
 
+def align_all(values):
+    """values lifted to one constant field and ramification, the smallest
+    that holds them all, together with that field and e."""
+    field, e = values[0].field, values[0].e
+    for v in values[1:]:
+        field = field.compositum(v.field)
+        e = lcm(e, v.e)
+    return [v.lift(field, e) for v in values], field, e
+
+
 def _const_nth_root(field: Fq, c: int, n: int):
     """Smallest canonical constant-field extension containing an n-th root
     of c, together with the canonical (least dlog) root."""
@@ -523,29 +533,6 @@ def inf_nth_root(a: InfElem, n: int) -> InfElem:
 # polynomials with InfElem coefficients and Newton-polygon root finding
 
 
-def _poly_norm(f):
-    f = list(f)
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _poly_align(f):
-    field = f[0].field
-    e = f[0].e
-    for c in f[1:]:
-        field = field.compositum(c.field)
-        e = lcm(e, c.e)
-    return [c.lift(field, e) for c in f]
-
-
-def _poly_eval(f, x):
-    acc = None
-    for c in reversed(f):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
 def _poly_deriv(f):
     out = []
     for k in range(1, len(f)):
@@ -553,40 +540,6 @@ def _poly_deriv(f):
         fld = c.field
         out.append(c.scale(fld.scalar(k % fld.p)))
     return out
-
-
-def _poly_divmod(f, g):
-    f = _poly_norm(list(f))
-    g = _poly_norm(list(g))
-    if not g:
-        raise ZeroDivisionError
-    quot = []
-    rem = list(f)
-    glead_inv = g[-1].inverse()
-    while len(rem) >= len(g) and rem:
-        c = rem[-1] * glead_inv
-        quot.append(c)
-        for i in range(len(g)):
-            rem[len(rem) - len(g) + i] = rem[len(rem) - len(g) + i] - c * g[i]
-        rem.pop()
-        rem = rem[: _len_norm(rem)]
-    return list(reversed(quot)), rem
-
-
-def _len_norm(f):
-    n = len(f)
-    while n and f[n - 1].is_zero():
-        n -= 1
-    return n
-
-
-def _poly_gcd(f, g):
-    a = _poly_norm(list(f))
-    b = _poly_norm(list(g))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-        b = _poly_norm(b)
-    return a
 
 
 def _newton_polygon(f):
@@ -616,7 +569,7 @@ def newton_roots(f, max_depth=8):
     cannot be separated at working precision raise PrecisionExhausted
     rather than silently merging.
     """
-    f = _poly_norm(_poly_align(list(f)))
+    f = poly_norm(align_all(f)[0])
     if not f:
         raise ValueError("zero polynomial")
     deg = len(f) - 1
@@ -637,8 +590,8 @@ def newton_roots(f, max_depth=8):
         mult = 0
         work = [c for c in f]
         while True:
-            quot, rem = _divide_linear(work, r)
-            if rem is None or not _negligible(rem, work):
+            quot, rem = poly_div_linear(work, r)
+            if not _negligible(rem, work):
                 break
             mult += 1
             work = quot
@@ -662,44 +615,24 @@ def _negligible(rem, context):
     # quarter of the available precision window (measured relative to the
     # size of the polynomial's own coefficients).  Genuine non-roots miss
     # this by a margin comparable to the full window.
-    if not rem:
+    if rem.is_zero():
         return True
     scale = min((c.val() for c in context if not c.is_zero()), default=Fraction(0))
-    for c in rem:
-        if c.is_zero():
-            continue
-        if (c.val() - scale) < Fraction(3, 4) * (c.prec_val - scale):
-            return False
-    return True
-
-
-def _divide_linear(f, r):
-    """Divide f by (y - r); returns (quotient, [remainder])"""
-    field = f[0].field.compositum(r.field)
-    e = lcm(f[0].e, r.e)
-    f = [c.lift(field, e) for c in f]
-    r = r.lift(field, e)
-    quot = []
-    acc = None
-    for c in reversed(f):
-        acc = c if acc is None else acc * r + c
-        quot.append(acc)
-    rem = quot.pop()
-    return list(reversed(quot)), [rem]
+    return rem.val() - scale >= Fraction(3, 4) * (rem.prec_val - scale)
 
 
 def _squarefree_roots(f, max_depth):
     """Distinct roots of f (InfElem coefficients, constant term nonzero)."""
     fld = f[0].field
     p = fld.p
-    deriv = _poly_norm(_poly_deriv(f))
+    deriv = poly_norm(_poly_deriv(f))
     if not deriv:
         # f(y) = g(y^p): take p-th roots of the roots of g
         g = [f[i] for i in range(0, len(f), p)]
         return [r.nth_root(p) for r in _squarefree_roots(g, max_depth)]
-    g = _poly_gcd(f, deriv)
+    g = poly_gcd(f, deriv)
     if len(g) > 1:
-        f = _poly_norm(_poly_divmod(f, g)[0])
+        f = poly_norm(poly_divmod(f, g)[0])
     return _polygon_roots(f, max_depth)
 
 
@@ -707,7 +640,7 @@ def _polygon_roots(f, depth, min_val=None):
     """Distinct roots of f with valuation strictly above min_val."""
     if depth <= 0:
         raise PrecisionExhausted("Puiseux recursion depth exhausted")
-    f = _poly_norm(_poly_align(list(f)))
+    f = poly_norm(align_all(f)[0])
     out = []
     if len(f) <= 1:
         return out
@@ -753,27 +686,9 @@ def _polygon_roots(f, depth, min_val=None):
                 phi = cfield.embed_into(big) if cfield is not big else (lambda x: x)
                 shifted = [c.lift(big, e2) for c in lifted]
                 approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted), f[0].var)
-                g = _taylor_shift(shifted, approx)
+                g = poly_taylor(shifted, approx)
                 for r2 in _polygon_roots(g, depth - 1, min_val=root_val):
                     out.append(approx + r2)
-    return out
-
-
-def _taylor_shift(f, a):
-    """f(a + z) coefficient list via repeated synthetic division."""
-    work = [c for c in f]
-    out = []
-    for _ in range(len(f)):
-        if not work:
-            break
-        quot = []
-        acc = None
-        for c in reversed(work):
-            acc = c if acc is None else acc * a + c
-            quot.append(acc)
-        rem = quot.pop()
-        out.append(rem)
-        work = list(reversed(quot))
     return out
 
 
@@ -811,11 +726,11 @@ def _newton(f, y, dval):
     stall = 0
     last_val = None
     for _ in range(200):
-        fy = _poly_eval(f, y)
+        fy = poly_eval(f, y)
         if fy.is_zero():
             # f(y) = O(u^P) pins the root down only to u^(P - dval)
             return y.truncate(fy.prec - dval)
-        step = fy / _poly_eval(deriv, y)
+        step = fy / poly_eval(deriv, y)
         y = y - step
         if step.is_zero():
             return y

@@ -15,22 +15,13 @@ re-verified by direct substitution before it is reported.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import CMPeriodsError, InsufficientPrecision
+from .infinity import align_all
 
 # _kernel_mod_p adds c * base to an entry in one byte lane: up to
 # (p - 1)^2 + (p - 1) = p(p - 1), which stays below 256 only for p <= 13
 KERNEL_P_MAX = 13
-
-
-def _align_values(values):
-    fld = values[0].field
-    e = values[0].e
-    for v in values[1:]:
-        fld = fld.compositum(v.field)
-        e = lcm(e, v.e)
-    return [v.lift(fld, e) for v in values], fld, e
 
 
 def _subfield_basis(field):
@@ -113,7 +104,7 @@ def find_linear_relations(values, H, margin=20, enforce=True):
     the F_q-digits of each c_i of degree at most H.  Kernel vectors are
     re-verified by direct substitution before being returned.
     """
-    values, fld, e = _align_values(values)
+    values, fld, e = align_all(values)
     if fld.p > KERNEL_P_MAX:
         raise CMPeriodsError(f"relation search works over F_p with p <= {KERNEL_P_MAX}, not p = {fld.p}")
     k = len(values)
@@ -248,7 +239,7 @@ def certify_legendre(fiber_symbols, pi, weight, D=4, H=40, margin=20):
 
 def relation_query_report(values, D, H, margin):
     """The enforced solvability precondition, machine-readable."""
-    vals, fld, e = _align_values(values)
+    vals, fld, e = align_all(values)
     kmin, kmax = _window(vals, H, e)
     nrows = (kmax - kmin) * fld.n
     ncols = len(vals) * (H + 1) * len(_subfield_basis(fld))

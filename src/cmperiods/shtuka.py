@@ -22,16 +22,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import FPoly, Fq
+from .arith import FPoly, Fq, Poly, poly_eval, poly_inv_mod
 from .cmtypes import CMDivisor, CMFieldModel
 from .errors import (
     BasisExpansionFailure,
     ModelMismatch,
-    PrecisionExhausted,
     UnsupportedGenus,
 )
 from .infinity import InfElem, inf_nth_root
-from .tate import TateMatrix, TateSeries
+from .tate import TateMatrix, TateSeries, adj_inverse, det
 
 # ---------------------------------------------------------------------------
 # exact scalars: rational functions and Kummer-ring elements
@@ -206,60 +205,13 @@ class WElem:
         return hash((id(self.ring), self.vec))
 
     def inverse(self):
-        # extended gcd of the w-polynomial against w^E - u over F_{q^m}(theta)
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
+        # the w-polynomial inverted modulo w^E - u over F_{q^m}(theta);
+        # ZeroDivisionError for zero, and for a zero divisor when w^E - u
+        # is reducible
         ring = self.ring
-        zero = RatF.const(ring.cfield, 0)
-        one = RatF.const(ring.cfield, 1)
-        modulus = [-RatF(ring.u)] + [zero] * (ring.E - 1) + [one]
-        a = list(self.vec)
-        b = modulus
-        s_a, s_b = [one], [zero]
-
-        def norm(v):
-            v = list(v)
-            while v and v[-1].is_zero():
-                v.pop()
-            return v
-
-        def scale(v, c):
-            return [x * c for x in v]
-
-        def sub(vv, ww):
-            n = max(len(vv), len(ww))
-            vv = vv + [zero] * (n - len(vv))
-            ww = ww + [zero] * (n - len(ww))
-            return norm([x - y for x, y in zip(vv, ww)])
-
-        def shift(v, k):
-            return [zero] * k + v
-
-        a, b = norm(a), norm(b)
-        while b:
-            # divide a by b
-            quot = [zero] * max(1, len(a) - len(b) + 1)
-            rem = list(a)
-            while len(rem) >= len(b) and rem:
-                f = rem[-1] * b[-1].inverse()
-                quot[len(rem) - len(b)] = f
-                rem = sub(rem, scale(shift(b, len(rem) - len(b)), f))
-            # s_rem = s_a - quot*s_b
-            qs = [zero] * (len(quot) + len(s_b))
-            for i, qc in enumerate(quot):
-                if qc.is_zero():
-                    continue
-                for j, sc in enumerate(s_b):
-                    qs[i + j] = qs[i + j] + qc * sc
-            s_rem = sub(s_a, norm(qs))
-            a, b = norm(b), norm(rem)
-            s_a, s_b = s_b, s_rem
-        if len(a) != 1:
-            raise ZeroDivisionError("element is a zero divisor; w-modulus not irreducible?")
-        inv_lead = a[0].inverse()
-        vec = [x * inv_lead for x in s_a][: self.ring.E]
-        vec += [zero] * (self.ring.E - len(vec))
-        return WElem(self.ring, tuple(vec))
+        zero, one = RatF.const(ring.cfield, 0), RatF.const(ring.cfield, 1)
+        vec = poly_inv_mod(self.vec, [-RatF(ring.u)] + [zero] * (ring.E - 1) + [one])
+        return WElem(ring, vec + [zero] * (ring.E - len(vec)))
 
     def realize(self, prec):
         w = self.ring.w_value(prec) if self.ring.E > 1 else None
@@ -284,18 +236,17 @@ class WElem:
         return " + ".join(parts) or "0"
 
 
-class WPoly:
+class WPoly(Poly):
     """Polynomial over a WRing in a tagged variable (t by default)."""
 
-    __slots__ = ("ring", "coeffs", "var")
+    __slots__ = ("ring",)
 
     def __init__(self, ring, coeffs, var="t"):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        super().__init__(coeffs, var)
         self.ring = ring
-        self.coeffs = tuple(coeffs)
-        self.var = var
+
+    def _like(self, coeffs):
+        return WPoly(self.ring, coeffs, self.var)
 
     @staticmethod
     def const(ring, c: WElem, var="t"):
@@ -305,100 +256,15 @@ class WPoly:
     def x(ring, var="t"):
         return WPoly(ring, [ring.zero(), ring.one()], var)
 
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = self.ring.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [z] * (n - len(o.coeffs))
-        return WPoly(self.ring, [x + y for x, y in zip(a, b)], self.var)
-
-    def __neg__(self):
-        return WPoly(self.ring, [-c for c in self.coeffs], self.var)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if self.is_zero() or o.is_zero():
-            return WPoly(self.ring, [], self.var)
-        z = self.ring.zero()
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return WPoly(self.ring, out, self.var)
-
-    def scale(self, c: WElem):
-        return WPoly(self.ring, [x * c for x in self.coeffs], self.var)
-
-    def divmod(self, o):
-        if o.is_zero():
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dv = o.deg
-        inv = o.coeffs[-1].inverse()
-        quot = [self.ring.zero()] * max(0, len(rem) - dv)
-        while len(rem) - 1 >= dv and rem:
-            c = rem[-1] * inv
-            quot[len(rem) - 1 - dv] = c
-            for i in range(dv + 1):
-                rem[len(rem) - 1 - dv + i] = rem[len(rem) - 1 - dv + i] - c * o.coeffs[i]
-            rem.pop()
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return WPoly(self.ring, quot, self.var), WPoly(self.ring, rem, self.var)
-
-    def __floordiv__(self, o):
-        return self.divmod(o)[0]
-
-    def __mod__(self, o):
-        return self.divmod(o)[1]
-
-    def gcd(self, o):
-        a, b = self, o
-        while not b.is_zero():
-            a, b = b, a % b
-        if not a.is_zero():
-            a = a.scale(a.coeffs[-1].inverse())
-        return a
-
-    def eval_w(self, x: WElem):
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def realize_at_theta(self, prec):
         """Exact evaluation at t = theta, then into the series field."""
-        return self.eval_w(self.ring.theta()).realize(prec)
+        ring = self.ring
+        return poly_eval(self.coeffs or [ring.zero()], ring.theta()).realize(prec)
 
     def realize_tate(self, T, prec):
         ring = self.ring
         coeffs = [c.realize(prec) for c in self.coeffs] or [ring.zero().realize(prec)]
         return TateSeries.poly(coeffs, T)
-
-    def __eq__(self, o):
-        return isinstance(o, WPoly) and self.coeffs == o.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(
-            f"({c})*{self.var}^{k}" if k else f"({c})"
-            for k, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        )
 
 
 def t_minus_theta(ring: WRing):
@@ -457,10 +323,8 @@ class CoordElem:
             if c.is_zero():
                 continue
             term = WPoly(ring, [ring.zero()] * i + [ring.one()], var="y")
-            # evaluate c (poly in t) at t_as_y
-            val = WPoly(ring, [], var="y")
-            for tc in reversed(c.coeffs):
-                val = val * t_as_y + WPoly.const(ring, tc, var="y")
+            # c, a polynomial in t, evaluated at t_as_y
+            val = poly_eval([WPoly.const(ring, tc, var="y") for tc in c.coeffs], t_as_y)
             acc = acc + val * term
         return acc
 
@@ -604,7 +468,7 @@ class DualMotive:
         self.rank = len(phi)
 
     def det_phi(self):
-        return _wpoly_det(self.phi, self.ring)
+        return det(self.phi)
 
     def check_invariants(self):
         """det Phi = c (t-theta)^(deg Xi), c nonzero; rank = [K:F_q(t)]."""
@@ -635,22 +499,6 @@ class DualMotive:
             "sigma_exponents": self.sigma_exponents,
             "ring": self.ring.convention(),
         }
-
-
-def _wpoly_det(rows, ring):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = WPoly(ring, [])
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = _wpoly_det(minor, ring)
-        term = rows[0][j] * sub
-        if j % 2:
-            det = det - term
-        else:
-            det = det + term
-    return det
 
 
 def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120):
@@ -880,43 +728,6 @@ def hodge_pink_weights(motive: DualMotive):
 # eigen-differentials and period symbols
 
 
-def _inf_matrix_inverse(rows):
-    """Gaussian elimination inverse for a small InfElem matrix."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    fld = work[0][0].field
-    e = work[0][0].e
-    prec = min(c.prec for row in work for c in row)
-    ident = [
-        [
-            InfElem.const(fld, 1 if i == j else 0, prec // e, e)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        best = None
-        for i in range(col, n):
-            v = work[i][col].val()
-            if v is not None and (best is None or v < best):
-                best = v
-                piv = i
-        if piv is None:
-            raise PrecisionExhausted("matrix is singular at working precision")
-        work[col], work[piv] = work[piv], work[col]
-        ident[col], ident[piv] = ident[piv], ident[col]
-        inv = work[col][col].inverse()
-        work[col] = [c * inv for c in work[col]]
-        ident[col] = [c * inv for c in ident[col]]
-        for i in range(n):
-            if i != col and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-                ident[i] = [a - f * b for a, b in zip(ident[i], ident[col])]
-    return ident
-
-
 def eigendifferentials(motive: DualMotive, prec=120):
     """Per point xi, the row functional on M/(t-theta)M with
     omega(y m) = nu_xi(y) omega(m), normalized to 1 on the first basis
@@ -951,15 +762,11 @@ def period_symbols(motive: DualMotive, psi: TateMatrix, prec=120, psi_inv_theta=
     The fixed Betti vector is the first entry of Psi^(-1) applied to the
     basis; each eigen-differential evaluates it.  Pipelines that assemble
     Psi from quasi-periods pass Psi^(-1)(theta) directly; otherwise the
-    evaluated matrix is inverted numerically.  Representatives are only
+    evaluated matrix is inverted through its adjugate.  Representatives are only
     canonical up to algebraic multiples, so the report records every
     convention that went into them.
     """
-    if psi_inv_theta is not None:
-        inv = psi_inv_theta
-    else:
-        psi_theta = psi.eval_theta()
-        inv = _inf_matrix_inverse(psi_theta)
+    inv = psi_inv_theta if psi_inv_theta is not None else adj_inverse(psi.eval_theta())
     omegas = eigendifferentials(motive, prec)
     values = {}
     for label, row in omegas.items():

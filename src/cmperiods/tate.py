@@ -14,10 +14,8 @@ Psi^(-1) = Phi Psi.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
 from .errors import NoDecay
-from .infinity import InfElem, _kronecker_mul
+from .infinity import InfElem, _kronecker_mul, align_all
 
 
 class Decay:
@@ -90,15 +88,9 @@ class TateSeries:
     __slots__ = ("coeffs", "T", "decay")
 
     def __init__(self, coeffs, decay=None):
-        coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("empty series")
-        field = coeffs[0].field
-        e = coeffs[0].e
-        for c in coeffs[1:]:
-            field = field.compositum(c.field)
-            e = lcm(e, c.e)
-        self.coeffs = [c.lift(field, e) for c in coeffs]
+        self.coeffs = align_all(coeffs)[0]
         self.T = len(coeffs)
         self.decay = decay
 
@@ -257,6 +249,36 @@ def mat_mul(A, B):
     return out
 
 
+def det(rows):
+    """Determinant by Laplace expansion along the first row, over any ring
+    whose elements support + - and *."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, a in enumerate(rows[0]):
+        t = a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = t if acc is None else acc - t if j % 2 else acc + t
+    return acc
+
+
+def adj_inverse(rows):
+    """adj(M) det(M)^(-1), over any ring whose elements also have
+    inverse(): entry (i, j) is the signed minor without row j and column i,
+    times the inverse of the determinant."""
+    dinv = det(rows).inverse()
+    n = len(rows)
+    if n == 1:
+        return [[dinv]]
+    out = []
+    for i in range(n):
+        out_row = []
+        for j in range(n):
+            minor = det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            out_row.append((-minor if (i + j) % 2 else minor) * dinv)
+        out.append(out_row)
+    return out
+
+
 class TateMatrix:
     """Matrix of TateSeries (for Phi, typically exact polynomial entries)."""
 
@@ -284,20 +306,11 @@ class TateMatrix:
         return TateMatrix([[c.twist(n) for c in row] for row in self.rows])
 
     def det(self):
-        if self.n == 1:
-            return self.rows[0][0]
-        if self.n == 2:
-            return self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0]
-        raise NotImplementedError("determinant implemented for n <= 2")
+        return det(self.rows)
 
     def inverse(self):
         """adj(M) det(M)^(-1), with the series inverse of det(M)."""
-        dinv = self.det().inverse()
-        if self.n == 1:
-            return TateMatrix([[dinv]])
-        a, b = self.rows[0]
-        c, d = self.rows[1]
-        return TateMatrix([[d * dinv, (-b) * dinv], [(-c) * dinv, a * dinv]])
+        return TateMatrix(adj_inverse(self.rows))
 
     def transpose(self):
         return TateMatrix([list(col) for col in zip(*self.rows)])

@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
     SingularRecursion,
 )
-from .infinity import InfElem, newton_roots
+from .infinity import InfElem, align_all, newton_roots
 from .tate import Decay, TateMatrix, TateSeries, check_difference_eq, mat_mul
 
 
@@ -39,12 +39,7 @@ class TModule:
     """
 
     def __init__(self, coeffs, cm_action=None, name=None):
-        coeffs = list(coeffs)
-        fld, e = coeffs[0].field, coeffs[0].e
-        for c in coeffs[1:]:
-            fld = fld.compositum(c.field)
-            e = lcm(e, c.e)
-        self.coeffs = [c.lift(fld, e) for c in coeffs]
+        self.coeffs, fld, e = align_all(coeffs)
         theta = InfElem.theta(fld, self.coeffs[0].prec // e, e)
         if not (self.coeffs[0] - theta).is_zero():
             raise ValueError("degree-zero term of rho_t must be theta")

@@ -154,6 +154,19 @@ def test_large_field_path():
     assert F.mul(x, F.inv(x)) == 1
     assert ff_frobenius(F, ff_frobenius(F, x, 3), -3) == x
     assert F.dlog(F.pow(F.gen, 777)) == 777
+    # generators and discrete logs as recorded before the table and
+    # non-table paths shared one generator search
+    recorded = {
+        (2, 1): (1, {}),
+        (2, 2): (2, {2: 1, 3: 2}),
+        (3, 2): (4, {2: 4, 3: 6, 5: 7, 7: 3}),
+        (3, 9): (3, {2: 9841, 3: 1, 5: 14966, 7: 5125, 100: 14492, 12345: 12645}),
+        (2, 16): (3, {2: 59241, 3: 1, 5: 2, 7: 3155, 100: 17777, 12345: 65083, 65535: 15}),
+    }
+    for (p, n), (gen, logs) in recorded.items():
+        F = Fq.get(p, n, 1)
+        assert F.gen == gen
+        assert {x: F.dlog(x) for x in logs} == logs
 
 
 @pytest.mark.parametrize(

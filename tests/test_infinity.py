@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmperiods.arith import Fq
+from cmperiods.arith import Fq, poly_divmod, poly_eval, poly_gcd, poly_inv_mod, poly_mul, poly_taylor
 from cmperiods.errors import DivisionByApparentZero, NotAPower
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import (
@@ -261,6 +261,23 @@ def test_newton_roots_inseparable_power():
     r, m = roots[0]
     assert m == 3
     assert (r**3 - th.lift(r.field, r.e)).is_zero()
+
+
+def test_poly_toolkit_over_series():
+    def P(*cs):
+        return [InfElem.from_poly(F3, c, 30) for c in cs]
+
+    # (y^2 + 1)(y^2 + theta) by y^2 + 1: the y^3 term of the running
+    # remainder cancels, and the quotient keeps y^2 + 0*y + theta in place
+    g, h, lin = P([1], [0], [1]), P([0, 1], [0], [1]), P([0, 1], [1])
+    f = poly_mul(g, h)
+    quot, rem = poly_divmod(f, g)
+    assert rem == [] and [c.coeffs for c in quot] == [{-1: 1}, {}, {0: 1}]
+    assert len(poly_gcd(f, poly_mul(g, lin))) == 3
+    a, z = InfElem.theta(F3, 30), InfElem.const(F3, 2, 30)
+    assert (poly_eval(poly_taylor(f, a), z) - poly_eval(f, a + z)).is_zero()
+    one = poly_divmod(poly_mul(poly_inv_mod(lin, g), lin), g)[1]
+    assert len(one) == 1 and (one[0] - InfElem.const(F3, 1, 30)).is_zero()
 
 
 def test_json_round_trip_bit_exact():

@@ -7,7 +7,7 @@ from cmperiods.arith import FPoly, Fq
 from cmperiods.errors import NoDecay, PoleArgument
 from cmperiods.infinity import InfElem
 from cmperiods.special import carlitz_period, geometric_gamma, omega_series
-from cmperiods.tate import Decay, TateMatrix, TateSeries, check_difference_eq, tate_twist
+from cmperiods.tate import Decay, TateMatrix, TateSeries, check_difference_eq, det, tate_twist
 
 F3 = Fq.get(3, 1, 1)
 
@@ -15,6 +15,34 @@ F3 = Fq.get(3, 1, 1)
 def tmat_theta_poly(field, coeffs, T, prec):
     """TateMatrix entry (t - theta)-style polynomials from InfElem lists."""
     return TateSeries.poly([InfElem.from_poly(field, c, prec) if isinstance(c, list) else c for c in coeffs], T)
+
+
+def test_inverse_of_3x3_series_matrix():
+    # t^0 part [[th, 1, 0], [1, th, 1], [0, 1, th]] has determinant
+    # th^3 + th, a unit; both products with the inverse are the identity at
+    # the precision each coefficient records, which stays within 2 of N
+    N, T = 40, 6
+
+    def s(*polys):
+        return TateSeries.poly([InfElem.from_poly(F3, c, N) for c in polys], T)
+
+    M = TateMatrix([
+        [s([0, 1], [1]), s([1], [0], [2]), s([0], [0, 1])],
+        [s([1], [2, 0, 1]), s([0, 1]), s([1], [1])],
+        [s([0], [1]), s([1], [0, 1]), s([0, 1], [0], [1])],
+    ])
+    assert M.det()[0].coeffs == {-3: 1, -1: 1}
+    Mi = M.inverse()
+    for P in (M @ Mi, Mi @ M):
+        for i, row in enumerate(P.rows):
+            for j, entry in enumerate(row):
+                for k, c in enumerate(entry.coeffs):
+                    delta = InfElem.const(F3, 1 if i == j and k == 0 else 0, N)
+                    assert (c - delta).is_zero()
+                    assert c.prec_val >= N - 2
+    # the same Laplace expansion over plain integers
+    assert det([[2, 0, 1], [1, 3, 2], [1, 1, 1]]) == 0
+    assert det([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]]) == (-2) * (-2)
 
 
 def test_twist_simple():
