@@ -283,6 +283,8 @@ class Fq:
     def add(self, x, y):
         if self.p == 2:
             return x ^ y
+        if self.n == 1:
+            return (x + y) % self.p
         if self._vec is not None:
             u, v = self._vec[x], self._vec[y]
         else:
@@ -292,6 +294,8 @@ class Fq:
     def neg(self, x):
         if self.p == 2:
             return x
+        if self.n == 1:
+            return -x % self.p
         u = self._vec[x] if self._vec is not None else self._decode(x)
         return self._encode([(-d) % self.p for d in u])
 

@@ -258,13 +258,11 @@ class CMFieldModel:
         roots = poly_roots_in_ext(list(K.modulus), self.base, K, require_all=True)
         gen_root = min(r for r, _ in roots)  # the presentation generator g
         decorated = []
-        for r, _ in roots:
-            # component i: value = g^(q^(ell - i)) = Frob_q^(-i)(g)
-            comp = next(
-                i for i in range(self.ell) if K.frob_q(gen_root, -i) == r
-            )
-            val = InfElem.const(K, r, prec)
-            decorated.append((K.dlog(r) if r else -1, val, comp))
+        # the F_p-modulus has a*ell roots; the points are the ell
+        # Frob_q-conjugates of g, component i: g^(q^(ell - i)) = Frob_q^(-i)(g)
+        for comp in range(self.ell):
+            r = K.frob_q(gen_root, -comp)
+            decorated.append((K.dlog(r) if r else -1, InfElem.const(K, r, prec), comp))
         decorated.sort(key=lambda x: x[0])
         return [
             CMPoint(f"xi{i}", val, "xi_theta+", component=comp)

@@ -3,7 +3,7 @@
 Over a function field, bounded-height relation finding is a kernel
 computation: matching series coefficients of sum c_i(theta) v_i to zero
 through the precision window is plain F_p-linear algebra, so no lattice
-reduction enters.  Rows are byte-packed and eliminated with C-speed
+reduction enters.  Columns are byte-packed and eliminated with C-speed
 integer arithmetic.
 
 Certificates are evidence, not proofs: every output carries its bounds
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CMPeriodsError, InsufficientPrecision
-from .infinity import align_all
+from .infinity import InfElem, align_all
 
 # _kernel_mod_p adds c * base to an entry in one byte lane: up to
 # (p - 1)^2 + (p - 1) = p(p - 1), which stays below 256 only for p <= 13
@@ -36,67 +36,54 @@ def _subfield_basis(field):
     return out
 
 
+def _system(values, H):
+    """The values aligned, with the shape of their relation system at height H.
+
+    Returns (values, field, e, kmin, kmax, basis, nrows, ncols): the
+    window kmin <= x < kmax from the lowest lead of any theta^h v_i with
+    h <= H up to where all of them are known, the F_p-basis of F_q the
+    unknowns run over, and the row and column counts of the F_p-linear
+    system.
+    """
+    values, fld, e = align_all(values)
+    kmin = min(v.lead_exp for v in values) - H * e
+    kmax = min(v.prec for v in values) - H * e
+    basis = _subfield_basis(fld)
+    return values, fld, e, kmin, kmax, basis, (kmax - kmin) * fld.n, len(values) * (H + 1) * len(basis)
+
+
 def _kernel_mod_p(columns, nrows, p):
     """Kernel basis of the matrix with the given columns over F_p.
 
     columns: list of byte strings of length nrows (entries in [0, p)).
-    Returns a list of kernel vectors (tuples over F_p).
+    Each column is eliminated together with its unit vector, [A | I] read
+    column by column.  A column is already zero at the pivot rows of the
+    columns before it, so its pivot is its first nonzero byte; when that
+    byte lies past A, the column reduced to zero and its unit part is a
+    kernel vector (a tuple over F_p).
     """
     ncols = len(columns)
+    width = nrows + ncols
     tbl = bytes(i % p for i in range(256))
-    # reduce [A | I] column-style: unknowns = columns
-    work = [bytearray(col) for col in columns]
-    track = []
-    for j in range(ncols):
-        t = bytearray(ncols)
-        t[j] = 1
-        track.append(t)
-    pivot_of_col = [None] * ncols
-    used_rows = set()
+    work = [col + bytes(j) + b"\1" + bytes(ncols - j - 1) for j, col in enumerate(columns)]
+    kernel = []
     for j in range(ncols):
         col = work[j]
-        piv = None
-        for i in range(nrows):
-            if col[i] and i not in used_rows:
-                piv = i
-                break
-        if piv is None:
+        piv = width - len(col.lstrip(b"\0"))
+        if piv >= nrows:
+            kernel.append(tuple(col[nrows:]))
             continue
-        pivot_of_col[j] = piv
-        used_rows.add(piv)
         inv = pow(col[piv], p - 2, p)
-        if inv != 1:
-            num = int.from_bytes(col, "little") * inv
-            work[j] = bytearray(num.to_bytes(len(col) + 4, "little")[: len(col)].translate(tbl))
-            numt = int.from_bytes(track[j], "little") * inv
-            track[j] = bytearray(numt.to_bytes(len(track[j]) + 4, "little")[: len(track[j])].translate(tbl))
-            col = work[j]
         base = int.from_bytes(col, "little")
-        baset = int.from_bytes(track[j], "little")
         for k in range(j + 1, ncols):
             f = work[k][piv]
             if f:
-                c = (p - f) % p
-                num = int.from_bytes(work[k], "little") + c * base
-                work[k] = bytearray(num.to_bytes(len(col) + 8, "little")[: len(col)].translate(tbl))
-                numt = int.from_bytes(track[k], "little") + c * baset
-                track[k] = bytearray(numt.to_bytes(ncols + 8, "little")[:ncols].translate(tbl))
-    kernel = []
-    for j in range(ncols):
-        if pivot_of_col[j] is None and any(work[j][i] for i in range(nrows)) is False:
-            kernel.append(tuple(track[j]))
+                num = int.from_bytes(work[k], "little") + (p - f) * inv % p * base
+                work[k] = num.to_bytes(width, "little").translate(tbl)
     return kernel
 
 
-def _window(values, H, e):
-    leads = [v.lead_exp for v in values]
-    precs = [v.prec for v in values]
-    kmin = min(leads) - H * e
-    kmax = min(p - H * e for p in precs)
-    return kmin, kmax
-
-
-def find_linear_relations(values, H, margin=20, enforce=True):
+def find_linear_relations(values, H, margin=20):
     """Basis of detected F_q[theta]-linear relations among the values.
 
     Sets up the F_p-linear system matching coefficients of
@@ -104,89 +91,91 @@ def find_linear_relations(values, H, margin=20, enforce=True):
     the F_q-digits of each c_i of degree at most H.  Kernel vectors are
     re-verified by direct substitution before being returned.
     """
-    values, fld, e = align_all(values)
+    values, fld, e, kmin, kmax, basis, nrows, ncols = _system(values, H)
     if fld.p > KERNEL_P_MAX:
         raise CMPeriodsError(f"relation search works over F_p with p <= {KERNEL_P_MAX}, not p = {fld.p}")
-    k = len(values)
-    kmin, kmax = _window(values, H, e)
-    n = fld.n
-    nrows = (kmax - kmin) * n
-    sub_basis = _subfield_basis(fld)
-    ncols = k * (H + 1) * len(sub_basis)
-    if enforce and ncols >= nrows - margin:
+    if ncols >= nrows - margin:
         raise InsufficientPrecision(
             f"search space {ncols} exceeds precision rows {nrows} - margin {margin}"
         )
+    # the column of theta^h eps v_i is the digit string of eps v_i read
+    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps)
+    n = fld.n
+    top = kmax + H * e
     columns = []
-    digits = fld.digits
-    colmeta = []
-    for i, v in enumerate(values):
+    for v in values:
+        strings = []
+        for eps in basis:
+            digits = bytearray((top - kmin) * n)
+            for x, c in v.coeffs.items():
+                if x < top:
+                    digits[(x - kmin) * n: (x - kmin + 1) * n] = fld.digits(fld.mul(eps, c))
+            strings.append(bytes(digits))
         for h in range(H + 1):
-            for eps in sub_basis:
-                col = bytearray(nrows)
-                for kk, c in v.coeffs.items():
-                    kshift = kk - h * e
-                    if kmin <= kshift < kmax:
-                        d = digits(fld.mul(eps, c))
-                        base = (kshift - kmin) * n
-                        for jj, dd in enumerate(d):
-                            col[base + jj] = dd
-                columns.append(bytes(col))
-                colmeta.append((i, h, eps))
-    kernel = _kernel_mod_p(columns, nrows, fld.p)
+            columns += [s[h * e * n: h * e * n + nrows] for s in strings]
     relations = []
     threshold = Fraction(kmax, e) - margin
-    for vec in kernel:
-        coeffs = _vec_to_polys(vec, colmeta, k, H, fld)
-        resid = _substitute(coeffs, values, fld, e)
+    for vec in _kernel_mod_p(columns, nrows, fld.p):
+        coeffs = _vec_to_polys(vec, H, fld, basis)
+        resid = _substitute(coeffs, values)
         if resid >= threshold:
             relations.append({"coeffs": coeffs, "residual": resid})
     return relations
 
 
-def _vec_to_polys(vec, colmeta, k, H, fld):
-    polys = []
-    for i in range(k):
-        cs = [0] * (H + 1)
-        for idx, (ii, h, eps) in enumerate(colmeta):
-            if ii == i and vec[idx]:
-                cs[h] = fld.add(cs[h], fld.mul(fld.scalar(vec[idx]), eps))
-        polys.append(cs)
-    return polys
+def _vec_to_polys(vec, H, fld, basis):
+    """The polynomials c_i of a kernel vector: digit (i*(H+1) + h)*a + s is
+    the coordinate on basis[s] of the theta^h coefficient of c_i."""
+    a = len(basis)
+    flat = []
+    for j in range(0, len(vec), a):
+        c = 0
+        for d, eps in zip(vec[j: j + a], basis):
+            if d:
+                c = fld.add(c, fld.mul(fld.scalar(d), eps))
+        flat.append(c)
+    return [flat[j: j + H + 1] for j in range(0, len(flat), H + 1)]
 
 
-def _substitute(coeff_polys, values, fld, e):
+def _substitute(coeff_polys, values):
+    """Residual of sum_i c_i(theta) v_i by direct substitution.
+
+    c_i(theta) is carried to v_i.prec - v_i.lead_exp + 1 exponent units, so
+    each product is known to v_i.prec - deg(c_i)*e, the precision of the
+    shifted copies of v_i it sums.
+    """
     acc = None
     for cs, v in zip(coeff_polys, values):
-        for h, c in enumerate(cs):
-            if c:
-                term = v.mono_mul(c, -h * e)
-                acc = term if acc is None else acc + term
-    if acc is None:
-        return Fraction(0)
-    return acc.residual_val()
+        if any(cs):
+            poly = {-h * v.e: c for h, c in enumerate(cs)}
+            term = InfElem(v.field, v.e, poly, v.prec - v.lead_exp + 1, v.var) * v
+            acc = term if acc is None else acc + term
+    return acc.residual_val() if acc is not None else Fraction(0)
+
+
+def _powers(value, D):
+    out = [value**0]
+    for _ in range(D):
+        out.append(out[-1] * value)
+    return out
 
 
 def find_algebraic_relation(value, D, H, margin=20):
     """Minimal-degree polynomial certificate P(value) = 0 at the bounds,
     or None when the search space is exhausted without a verified hit."""
-    powers = [value**0]
-    for _ in range(D):
-        powers.append(powers[-1] * value)
-    relations = find_linear_relations(powers, H, margin)
+    relations = find_linear_relations(_powers(value, D), H, margin)
     if not relations:
         return None
-    best = None
-    for rel in relations:
-        deg = max(i for i, cs in enumerate(rel["coeffs"]) if any(cs))
-        if best is None or deg < best[0]:
-            best = (deg, rel)
-    deg, rel = best
+
+    def degree(rel):
+        return max(i for i, cs in enumerate(rel["coeffs"]) if any(cs))
+
+    rel = min(relations, key=degree)
+    deg = degree(rel)
     coeffs = rel["coeffs"][: deg + 1]
     # monic-leading preference: normalize the top theta-coefficient of c_deg
     lead_poly = coeffs[deg]
     top = max(h for h, c in enumerate(lead_poly) if c)
-    inv = None
     fld = value.field
     inv = fld.inv(lead_poly[top])
     coeffs = [[fld.mul(inv, c) for c in cs] for cs in coeffs]
@@ -202,17 +191,7 @@ def find_algebraic_relation(value, D, H, margin=20):
 
 def verify_certificate(cert, value):
     """Direct-substitution residual of a certificate against a value."""
-    fld, e = value.field, value.e
-    acc = None
-    power = value**0
-    for d, cs in enumerate(cert["coeffs"]):
-        if d:
-            power = power * value
-        for h, c in enumerate(cs):
-            if c:
-                term = power.mono_mul(c, -h * e)
-                acc = term if acc is None else acc + term
-    return acc.residual_val() if acc is not None else Fraction(0)
+    return _substitute(cert["coeffs"], _powers(value, len(cert["coeffs"]) - 1))
 
 
 def certify_legendre(fiber_symbols, pi, weight, D=4, H=40, margin=20):
@@ -239,10 +218,7 @@ def certify_legendre(fiber_symbols, pi, weight, D=4, H=40, margin=20):
 
 def relation_query_report(values, D, H, margin):
     """The enforced solvability precondition, machine-readable."""
-    vals, fld, e = align_all(values)
-    kmin, kmax = _window(vals, H, e)
-    nrows = (kmax - kmin) * fld.n
-    ncols = len(vals) * (H + 1) * len(_subfield_basis(fld))
+    nrows, ncols = _system(values, H)[6:]
     return {
         "rows": nrows,
         "columns": ncols,

@@ -55,23 +55,18 @@ class Decay:
         return Decay("linear", lin.A + qp.A + qp.B, min(lin.B, qp.B * (qp.q - 1)))
 
     def tail_min(self, i0, weight=1):
-        """min over i >= i0 of bound(i) - weight*i (tail of sum a_i theta^i)."""
-        best = None
-        i = i0
-        rising = 0
-        while rising < 3 and i < i0 + 4096:
-            v = self.bound(i) - weight * i
-            if best is None or v < best:
-                best = v
-                rising = 0
-            else:
-                rising += 1
-            i += 1
-        if best is None:
-            raise NoDecay("empty tail")
-        if self.kind == "linear" and self.B <= weight:
+        """min over i >= i0 of bound(i) - weight*i (tail of sum a_i theta^i).
+
+        The step from i to i + 1 is B - weight (linear) or
+        B*q^i*(q - 1) - weight (qpow), which never falls as i grows, so
+        the minimum sits at the first i >= i0 whose step is not negative.
+        """
+        if self.B <= (weight if self.kind == "linear" else 0):
             raise NoDecay("declared decay too weak to bound the tail")
-        return best
+        i = i0
+        while self.kind == "qpow" and self.B * self.q**i * (self.q - 1) < weight:
+            i += 1
+        return self.bound(i) - weight * i
 
     def to_json(self):
         return {

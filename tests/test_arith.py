@@ -42,6 +42,17 @@ def test_field_axioms_small():
                 assert F.mul(x, F.inv(x)) == 1
 
 
+def test_prime_field_add_neg_match_digit_vectors():
+    # n = 1 adds and negates the ints directly; the digit-vector path is
+    # the reference
+    for p in (3, 5, 13, 31):
+        F = Fq.get(p, 1, 1)
+        for x in range(p):
+            assert F.neg(x) == F._encode([(-d) % p for d in F._decode(x)])
+            for y in range(p):
+                assert F.add(x, y) == F._encode([(u + v) % p for u, v in zip(F._decode(x), F._decode(y))])
+
+
 def test_frobenius_identity_and_inverse():
     # [spec example] x = 1 is fixed by every Frobenius power
     F = Fq.get(3, 1, 2)

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import cmperiods
 from cmperiods.cli import main
 
 
@@ -75,10 +78,15 @@ def test_shtuka_build_emits_fixture(tmp_path):
 
 
 def test_console_script_installed():
+    # the subprocess imports the package from where this process found it,
+    # which is src/ in a plain checkout
+    src = str(Path(cmperiods.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "cmperiods.cli", "cm", "rank", "--example", "carlitz", "--prec", "50", "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["payload"]["rank_ik0"]["rank"] == 1

@@ -85,6 +85,16 @@ def test_jk_points_const_ext():
     assert K.frob_q(a, 1) == b  # conjugate embeddings
 
 
+def test_jk_points_const_ext_over_prime_power_q():
+    # q = 4: the F_2-modulus of F_16 has four roots, of which the points
+    # are the two Frob_4-conjugates of the generator
+    pts = CMFieldModel("constant-ext", 4, ell=2, name="const-ext:2").points(60)
+    assert sorted(p.component for p in pts) == [0, 1]
+    K = pts[0].value.field
+    by_comp = {p.component: p.value.lead_coeff() for p in pts}
+    assert K.frob_q(by_comp[1], 1) == by_comp[0] != by_comp[1]
+
+
 def test_cm_weight_examples():
     pts = K3.points()
     d = CMDivisor({pts[0].label: 1})

@@ -7,6 +7,7 @@ from cmperiods.arith import Fq
 from cmperiods.errors import CMPeriodsError, InsufficientPrecision
 from cmperiods.infinity import InfElem, inf_nth_root
 from cmperiods.relhunt import (
+    _kernel_mod_p,
     find_algebraic_relation,
     find_linear_relations,
     relation_query_report,
@@ -60,6 +61,51 @@ def test_prime_limit_of_the_byte_kernel():
         else:
             with pytest.raises(CMPeriodsError, match="p <= 13"):
                 find_linear_relations([v, v, w], H=3, margin=10)
+
+
+def _naive_rank(columns, p):
+    """Rank over F_p by plain Gaussian elimination on the row-major matrix."""
+    rows = [list(r) for r in zip(*columns)]
+    rank = 0
+    for c in range(len(columns)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] % p:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_against_naive_elimination():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7, 13):
+        for _ in range(6):
+            nrows = rng.randrange(4, 30)
+            ncols = rng.randrange(2, 24)
+            columns = []
+            for _ in range(ncols):
+                kind = rng.random()
+                if columns and kind < 0.3:
+                    # a combination of earlier columns
+                    picks = [(rng.randrange(p), rng.choice(columns)) for _ in range(3)]
+                    col = [sum(c * b[i] for c, b in picks) % p for i in range(nrows)]
+                elif kind < 0.35:
+                    col = [0] * nrows
+                else:
+                    col = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(nrows)]
+                columns.append(bytes(col))
+            kernel = _kernel_mod_p(columns, nrows, p)
+            assert len(kernel) == ncols - _naive_rank(columns, p)
+            for vec in kernel:
+                assert all(sum(v * col[i] for v, col in zip(vec, columns)) % p == 0 for i in range(nrows))
+            if kernel:
+                assert _naive_rank([bytes(v) for v in kernel], p) == len(kernel)
 
 
 def test_no_relation_for_ramified_element():

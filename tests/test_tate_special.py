@@ -113,6 +113,33 @@ def test_mixed_decay_product_reproduction():
         (lin * shrinking).eval_theta()
 
 
+def _scanned_tail_min(decay, i0, weight):
+    """The earlier bounded scan for the tail minimum, kept as reference."""
+    best, i, rising = None, i0, 0
+    while rising < 3 and i < i0 + 4096:
+        v = decay.bound(i) - weight * i
+        if best is None or v < best:
+            best, rising = v, 0
+        else:
+            rising += 1
+        i += 1
+    return best
+
+
+def test_tail_min_matches_the_scan():
+    for q in (2, 3, 4, 5):
+        for A in (-3, 0, Fraction(5, 2)):
+            for B in (Fraction(-1, 2), 0, Fraction(1, 8), Fraction(2, 3), 1, Fraction(3, 2), 4):
+                for i0 in (0, 1, 5, 12):
+                    for weight in (1, 2, Fraction(1, 2)):
+                        for decay in (Decay("linear", A, B), Decay("qpow", A, B, q)):
+                            if B <= (weight if decay.kind == "linear" else 0):
+                                with pytest.raises(NoDecay):
+                                    decay.tail_min(i0, weight)
+                            else:
+                                assert decay.tail_min(i0, weight) == _scanned_tail_min(decay, i0, weight)
+
+
 def _decayed(rng, decay, T, e):
     """Random series whose coefficient valuations sit at or just above decay."""
     coeffs = []
