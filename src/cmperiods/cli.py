@@ -39,8 +39,8 @@ from .infinity import InfElem
 from .relhunt import certify_legendre, find_algebraic_relation, find_linear_relations
 from .shtuka import hodge_pink_weights, period_symbols, sigma_ideal_check
 from .special import carlitz_period, geometric_gamma, omega_series
-from .tate import TateMatrix, TateSeries, check_difference_eq
-from .tmodule import build_psi, quasi_period_matrix
+from .tate import TateMatrix, TateSeries, check_difference_eq, det
+from .tmodule import agf, build_psi, quasi_period_matrix
 
 DEFAULT_PREC = 200
 DEFAULT_TRUNC = 64
@@ -291,24 +291,31 @@ def cmd_shtuka(args, t0):
     raise SystemExit(2)
 
 
-def _analytic_pipeline(args, need_psi=True):
+def _lattice(args):
     fx = get_fixture(args.example, q=args.q, N=args.prec)
-    if fx.tmodule is None and fx.psi_power is None:
-        raise PrecisionExhausted(f"fixture {args.example} has no analytic pairing")
-    lat = None
-    bundle = None
-    if fx.tmodule is not None:
-        lat = fx.tmodule.period_lattice()
-        if need_psi:
-            U = fx.basis_change_tate(args.trunc, args.prec)
-            bundle = build_psi(
-                fx.tmodule, lat, fx.motive, T=args.trunc, prec=args.prec, basis_change=U
-            )
-    return fx, lat, bundle
+    if fx.tmodule is None:
+        raise PrecisionExhausted(f"fixture {args.example} carries no t-module")
+    return fx, fx.tmodule.period_lattice()
+
+
+def _symbols(args):
+    """(fixture, lattice, bundle, period symbols): Psi is built on the
+    period lattice when the fixture carries a t-module, else it is the
+    closed-form Omega^n, and lattice and bundle are None."""
+    fx = get_fixture(args.example, q=args.q, N=args.prec)
+    if fx.tmodule is None:
+        if fx.psi_power is None:
+            raise PrecisionExhausted(f"fixture {args.example} has no analytic pairing")
+        return fx, None, None, period_symbols(fx.motive, fx.psi(args.trunc, args.prec), prec=args.prec)
+    lat = fx.tmodule.period_lattice()
+    U = fx.basis_change_tate(args.trunc, args.prec)
+    bundle = build_psi(fx.tmodule, lat, fx.motive, T=args.trunc, prec=args.prec, basis_change=U)
+    syms = period_symbols(fx.motive, bundle.psi, prec=args.prec, psi_inv_theta=bundle.psi_inv_theta)
+    return fx, lat, bundle, syms
 
 
 def cmd_periods(args, t0):
-    fx, lat, bundle = _analytic_pipeline(args, need_psi=True)
+    fx, lat, bundle, syms = _symbols(args)
     config = _field_conventions(fx.model.q)
     config.update({"prec": args.prec, "trunc": args.trunc, "model": fx.model.to_json()})
     payload = {}
@@ -316,26 +323,15 @@ def cmd_periods(args, t0):
         payload["lattice"] = [v for v in lat.vectors]
         payload["lattice_valuations"] = [v.val() for v in lat.vectors]
         payload["exp_residuals"] = [fx.tmodule.exp_eval(v).residual_val() for v in lat.vectors]
-    if bundle is not None:
         payload["difference_equation_residual"] = bundle.report["min_residual"]
-        syms = period_symbols(fx.motive, bundle.psi, prec=args.prec, psi_inv_theta=bundle.psi_inv_theta)
-        payload["period_symbols"] = syms["values"]
-        payload["conventions"] = syms["conventions"]
-    elif fx.psi_power is not None:
-        psi = fx.psi(args.trunc, args.prec)
-        syms = period_symbols(fx.motive, psi, prec=args.prec)
-        payload["period_symbols"] = syms["values"]
-        payload["conventions"] = syms["conventions"]
+    payload["period_symbols"] = syms["values"]
+    payload["conventions"] = syms["conventions"]
     emit(make_report("periods", config, payload), args, t0)
     return 0
 
 
 def cmd_agf(args, t0):
-    fx, lat, _ = _analytic_pipeline(args, need_psi=False)
-    if lat is None:
-        raise PrecisionExhausted(f"fixture {args.example} carries no t-module")
-    from .tmodule import agf
-
+    fx, lat = _lattice(args)
     config = _field_conventions(fx.model.q)
     config.update({"prec": args.prec, "trunc": args.trunc, "tag": args.tag, "vector": args.vector})
     lam = lat.vectors[args.vector]
@@ -350,18 +346,13 @@ def cmd_agf(args, t0):
 
 
 def cmd_qp(args, t0):
-    fx, lat, _ = _analytic_pipeline(args, need_psi=False)
-    if lat is None:
-        raise PrecisionExhausted(f"fixture {args.example} carries no t-module")
+    fx, lat = _lattice(args)
     config = _field_conventions(fx.model.q)
     config.update({"prec": args.prec, "trunc": args.trunc})
     mat = quasi_period_matrix(fx.tmodule, lat, T=max(args.trunc // 2, 16))
-    det = None
-    if len(mat) == 2:
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     payload = {
         "matrix_valuations": [[x.residual_val() for x in row] for row in mat],
-        "determinant_valuation": det.val() if det is not None else None,
+        "determinant_valuation": det(mat).val(),
         "matrix": [[x for x in row] for row in mat],
     }
     emit(make_report("qp", config, payload), args, t0)
@@ -369,15 +360,11 @@ def cmd_qp(args, t0):
 
 
 def cmd_legendre(args, t0):
-    fx, lat, bundle = _analytic_pipeline(args, need_psi=True)
+    fx, _, _, syms = _symbols(args)
     config = _field_conventions(fx.model.q)
     config.update(
         {"prec": args.prec, "trunc": args.trunc, "deg": args.deg, "height": args.height, "margin": args.margin}
     )
-    if bundle is not None:
-        syms = period_symbols(fx.motive, bundle.psi, prec=args.prec, psi_inv_theta=bundle.psi_inv_theta)
-    else:
-        syms = period_symbols(fx.motive, fx.psi(args.trunc, args.prec), prec=args.prec)
     pts = {p.label: p for p in fx.model.points(args.prec)}
     fibers = {}
     for label, value in syms["values"].items():

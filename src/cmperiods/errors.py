@@ -18,7 +18,7 @@ class PrecisionExhausted(CMPeriodsError):
     """
 
 
-class DivisionByApparentZero(CMPeriodsError):
+class DivisionByApparentZero(PrecisionExhausted):
     """Divisor is indistinguishable from zero at its precision."""
 
 

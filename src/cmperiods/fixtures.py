@@ -46,11 +46,11 @@ class Fixture:
         return TateMatrix([[om**self.psi_power]])
 
     def basis_change_tate(self, T, prec):
+        """(U_minus as t-series, U^(-1)(theta)): what build_psi reads."""
         if self.basis_change is None:
             return None
-        U, U_minus, U_inv = self.basis_change
+        _, U_minus, U_inv = self.basis_change
         return (
-            TateMatrix([[c.realize_tate(T, prec) for c in row] for row in U]),
             TateMatrix([[c.realize_tate(T, prec) for c in row] for row in U_minus]),
             [[c.realize_at_theta(prec) for c in row] for row in U_inv],
         )
@@ -137,7 +137,7 @@ def _check_inverse_pair(U, U_inv, ring):
 # builders
 
 
-def carlitz_tensor_fixture(n, q, T=32, N=120):
+def carlitz_tensor_fixture(n, q, N=120):
     model = CMFieldModel("rational", q, name=f"carlitz-tensor:{n}" if n > 1 else "carlitz")
     xi = CMDivisor({THETA_POINT: n})
     pair = solve_shtuka(model, xi, prec=N)
@@ -159,7 +159,7 @@ def carlitz_tensor_fixture(n, q, T=32, N=120):
     )
 
 
-def kummer_fixture(q, T=32, N=200):
+def kummer_fixture(q, N=200):
     model = CMFieldModel(
         "monogenic", q, E=q - 1, u_coeffs=[0, (q - 1) if q > 2 else 1], name=f"kummer-t:{q}"
     )
@@ -193,7 +193,7 @@ def kummer_fixture(q, T=32, N=200):
     return fixture
 
 
-def const_ext_fixture(q, ell=2, T=32, N=200):
+def const_ext_fixture(q, ell=2, N=200):
     model = CMFieldModel("constant-ext", q, ell=ell, name=f"const-ext:{ell}")
     pts = model.points(N)
     anchor = next(p for p in pts if p.component == 0)
@@ -223,19 +223,19 @@ def const_ext_fixture(q, ell=2, T=32, N=200):
     )
 
 
-def get_fixture(name, q=None, T=32, N=200):
+def get_fixture(name, q=None, N=200):
     """Resolve a fixture by CLI name."""
     if name == "carlitz":
-        return carlitz_tensor_fixture(1, q or 3, T, N)
+        return carlitz_tensor_fixture(1, q or 3, N)
     if name.startswith("carlitz-tensor:"):
         n = int(name.split(":", 1)[1])
-        return carlitz_tensor_fixture(n, q or 3, T, N)
+        return carlitz_tensor_fixture(n, q or 3, N)
     if name.startswith("kummer-t:"):
         qq = int(name.split(":", 1)[1])
-        return kummer_fixture(qq, T, N)
+        return kummer_fixture(qq, N)
     if name.startswith("const-ext:"):
         ell = int(name.split(":", 1)[1])
-        return const_ext_fixture(q or 3, ell, T, N)
+        return const_ext_fixture(q or 3, ell, N)
     raise KeyError(f"unknown fixture {name!r}")
 
 

@@ -190,7 +190,7 @@ class InfElem:
         prec = min(a.prec + lb, b.prec + la)
         if not a.coeffs or not b.coeffs:
             return InfElem(f, a.e, {}, prec, a.var)
-        if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD and f.size <= (1 << 12):
+        if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
             packed = _kronecker_mul([a], [b], 1)
             if packed is not None:
                 return packed[0]

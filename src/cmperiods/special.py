@@ -96,12 +96,12 @@ def carlitz_period(q, N, with_report=False):
     return pi_main
 
 
-def carlitz_tensor_motive(n, q, T=32, N=120):
+def carlitz_tensor_motive(n, q, N=120):
     """Rank-one motive with sigma acting through (t - theta)^n, paired with
     the n-th power of the Omega series as its trivialization."""
     from .fixtures import carlitz_tensor_fixture
 
-    return carlitz_tensor_fixture(n, q, T=T, N=N)
+    return carlitz_tensor_fixture(n, q, N=N)
 
 
 def _pole_guard(num: FPoly, den: FPoly):

@@ -21,51 +21,69 @@ from .infinity import InfElem, _kronecker_mul, align_all
 class Decay:
     """Lower bound on coefficient valuations: val(a_i) >= A + B*g(i).
 
-    kind "linear": g(i) = i; kind "qpow": g(i) = q^i.
+    kind "linear": g(i) = i; kind "qpow": g(i) = q^(i // step), so that a
+    product of qpow series may climb more slowly than either factor.
     """
 
-    __slots__ = ("kind", "A", "B", "q")
+    __slots__ = ("kind", "A", "B", "q", "step")
 
-    def __init__(self, kind, A, B, q=None):
+    def __init__(self, kind, A, B, q=None, step=1):
         self.kind = kind
         self.A = Fraction(A)
         self.B = Fraction(B)
         self.q = q
+        self.step = step
 
     def bound(self, i):
         if self.kind == "linear":
             return self.A + self.B * i
-        return self.A + self.B * self.q**i
+        return self.A + self.B * self.q ** (i // self.step)
 
     def scale_val(self, factor):
-        return Decay(self.kind, self.A * factor, self.B * factor, self.q)
+        return Decay(self.kind, self.A * factor, self.B * factor, self.q, self.step)
 
     def combine_mul(self, other: "Decay"):
-        """Valid descriptor for the product of two described series."""
+        """Valid descriptor for the product of two described series, or
+        None when a qpow factor has a negative slope."""
         if self.kind == "linear" and other.kind == "linear":
             return Decay("linear", self.A + other.A, min(self.B, other.B))
         if self.kind == "qpow" and other.kind == "qpow":
             b = min(self.B, other.B)
-            return Decay("qpow", self.A + other.A + b, b, self.q)
+            if b < 0:
+                return None
+            if self.step == other.step == 1:
+                # q^i + q^(k-i) >= 2 q^(k // 2): one exponent is at least
+                # k // 2 + 1 when the other is below k // 2
+                return Decay("qpow", self.A + other.A, 2 * b, self.q, 2)
+            # for i + j = k, i // s1 or j // s2 is at least m = k // (s1 + s2):
+            # the terms are at least min(B1 q^m + B2, B1 + B2 q^m)
+            return Decay("qpow", self.A + other.A + max(self.B, other.B), b, self.q, self.step + other.step)
         lin = self if self.kind == "linear" else other
         qp = other if self.kind == "linear" else self
         if qp.B < 0:
             return None
-        # q^j >= 1 + (q-1)j (Bernoulli), so val(b_j) >= qp.A + qp.B + qp.B(q-1)j
-        return Decay("linear", lin.A + qp.A + qp.B, min(lin.B, qp.B * (qp.q - 1)))
+        # q^m >= 1 + (q-1)m (Bernoulli) and j // s >= (j - s + 1)/s, so
+        # val(b_j) >= qp.A + qp.B - qp.B(q-1)(s-1)/s + (qp.B(q-1)/s) j
+        s = qp.step
+        slope = qp.B * (qp.q - 1) / s
+        return Decay("linear", lin.A + qp.A + qp.B - slope * (s - 1), min(lin.B, slope))
 
     def tail_min(self, i0, weight=1):
         """min over i >= i0 of bound(i) - weight*i (tail of sum a_i theta^i).
 
-        The step from i to i + 1 is B - weight (linear) or
-        B*q^i*(q - 1) - weight (qpow), which never falls as i grows, so
-        the minimum sits at the first i >= i0 whose step is not negative.
+        Linear: the minimum is at i0.  qpow: each block of step indices
+        takes its minimum at its last index, which moves by
+        B*q^m*(q - 1) - weight*step from block m to m + 1, a move that
+        never falls as m grows.
         """
         if self.B <= (weight if self.kind == "linear" else 0):
             raise NoDecay("declared decay too weak to bound the tail")
-        i = i0
-        while self.kind == "qpow" and self.B * self.q**i * (self.q - 1) < weight:
-            i += 1
+        if self.kind == "linear":
+            return self.bound(i0) - weight * i0
+        m = i0 // self.step
+        while self.B * self.q**m * (self.q - 1) < weight * self.step:
+            m += 1
+        i = self.step * (m + 1) - 1
         return self.bound(i) - weight * i
 
     def to_json(self):
@@ -74,6 +92,7 @@ class Decay:
             "A": [self.A.numerator, self.A.denominator],
             "B": [self.B.numerator, self.B.denominator],
             "q": self.q,
+            "step": self.step,
         }
 
 
@@ -136,7 +155,7 @@ class TateSeries:
         nnz_a = sum(1 for c in a if not c.is_zero())
         nnz_b = sum(1 for c in b if not c.is_zero())
         same = a[0].field is b[0].field and a[0].e == b[0].e
-        if min(nnz_a, nnz_b) > 4 and same and a[0].field.size <= 4096:
+        if min(nnz_a, nnz_b) > 4 and same:
             packed = _kronecker_mul(a, b, T)
             if packed is not None:
                 return TateSeries(packed, decay)

@@ -255,7 +255,7 @@ class TModule:
             scale = scale * theta
         raise ChainNotConverging("no stable period along this chain")
 
-    def period_lattice(self, prec=None, max_points=None):
+    def period_lattice(self):
         """A reduced basis of the period lattice.
 
         Periods are collected from t-torsion chains and reduced by
@@ -265,10 +265,10 @@ class TModule:
         torsion = [x for x in self.t_torsion() if not x.is_zero()]
         torsion.sort(key=_sort_key)
         basis = []
-        for x1 in torsion[: max_points or len(torsion)]:
+        for x1 in torsion:
             lam = self.period_from_torsion(x1)
-            basis = _reduce_into(basis, lam, self.q)
-            if len(basis) == self.rank and _stable(basis, self.q):
+            basis = _reduce_into(basis, lam)
+            if len(basis) == self.rank and _stable(basis):
                 break
         if len(basis) != self.rank:
             raise PrecisionExhausted(
@@ -287,7 +287,22 @@ def _sort_key(x):
     return (v, x.field.dlog(c) if c else -1, sorted(x.coeffs.items()))
 
 
-def _reduce_into(basis, lam, q):
+def _reduction(a, b):
+    """(a, c theta^s b) over a common field when a reduces against b: s =
+    val(a) - val(b) is an integer >= 0 and the leading-coefficient ratio c
+    lies in F_q, so the difference cancels the leading term of a; else None."""
+    dv = a.val() - b.val()
+    if dv < 0 or dv.denominator != 1:
+        return None
+    bb = b.lift(b.field.compositum(a.field), lcm(b.e, a.e))
+    aa = a.lift(bb.field, bb.e)
+    ratio = aa.field.div(aa.lead_coeff(), bb.lead_coeff())
+    if not aa.field.in_base_q(ratio):
+        return None
+    return aa, bb.mono_mul(ratio, -int(dv) * bb.e)
+
+
+def _reduce_into(basis, lam):
     """Greedy F_q[theta]-reduction of lam against the current basis."""
     work = lam
     changed = True
@@ -296,19 +311,10 @@ def _reduce_into(basis, lam, q):
         for b in basis:
             if work.is_zero():
                 break
-            bb = b.lift(b.field.compositum(work.field), lcm(b.e, work.e))
-            ww = work.lift(bb.field, bb.e)
-            dv = ww.val() - bb.val()
-            if dv < 0 or (dv * ww.e) % ww.e:
-                continue
-            shift = int(dv)
-            lw = ww.lead_coeff()
-            lb = bb.lead_coeff()
-            ratio = ww.field.div(lw, lb)
-            if not ww.field.in_base_q(ratio):
-                continue
-            work = ww - bb.mono_mul(ratio, -shift * bb.e)
-            changed = True
+            red = _reduction(work, b)
+            if red is not None:
+                work = red[0] - red[1]
+                changed = True
     if work.is_zero():
         return basis
     out = basis + [work]
@@ -316,20 +322,9 @@ def _reduce_into(basis, lam, q):
     return out
 
 
-def _stable(basis, q):
+def _stable(basis):
     # pairwise irreducibility: no vector reduces against another
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            if i == j:
-                continue
-            dv = a.val() - b.val()
-            if dv >= 0 and (dv * a.e) % a.e == 0:
-                aa = a.lift(a.field.compositum(b.field), lcm(a.e, b.e))
-                bb = b.lift(aa.field, aa.e)
-                ratio = aa.field.div(aa.lead_coeff(), bb.lead_coeff())
-                if aa.field.in_base_q(ratio):
-                    return False
-    return True
+    return not any(i != j and _reduction(a, b) for i, a in enumerate(basis) for j, b in enumerate(basis))
 
 
 class Lattice:
@@ -364,40 +359,29 @@ def skew_mul(f, g, q):
 # Anderson generating functions, quasi-periods, trivializations
 
 
-def _agf_exp_chain(module: TModule, lam: InfElem, T: int):
-    """exp(theta^(-n-1) lam) for n < T (the shared core of every AGF)."""
+def agf(module: TModule, lam: InfElem, j: int, T: int):
+    """The series sum_n m(exp(theta^(-n-1) lam)) t^n for the functional
+    m = tau^j, with its derived geometric decay descriptor.
+
+    It is the j-th twist of the tau^0 series G: tau^j raises each
+    exponential to the q^j-th power, a coefficientwise Frobenius, and
+    the twist scales G's descriptor by q^j.
+    """
     fld = module.field.compositum(lam.field)
     e = lcm(module.e, lam.e)
-    lam = lam.lift(fld, e)
-    theta_inv = InfElem.theta(fld, module.coeffs[0].prec // module.e, e).inverse()
-    exps = []
-    z = lam * theta_inv
-    for _ in range(T):
-        exps.append(module.exp_eval(z))
-        z = z * theta_inv
-    return exps
-
-
-def agf(module: TModule, lam: InfElem, j: int, T: int, _chain=None):
-    """The series sum_n m(exp(theta^(-n-1) lam)) t^n for the functional
-    m = tau^j, with its derived geometric decay descriptor."""
     if lam.is_zero():
-        fld = module.field.compositum(lam.field)
-        e = lcm(module.e, lam.e)
-        z = InfElem(fld, e, {}, lam.prec)
-        return TateSeries([z] * T, Decay("linear", 0, module.q**j or 1))
-    exps = _chain if _chain is not None else _agf_exp_chain(module, lam, T)
-    q = module.q
-    B = q**j
-    coeffs = [x.frobenius(j) for x in exps[:T]]
+        return TateSeries([InfElem(fld, e, {}, lam.prec)] * T, Decay("linear", 0, 1)).twist(j)
+    theta_inv = InfElem.theta(fld, module.coeffs[0].prec // module.e, e).inverse()
+    z = lam.lift(fld, e)
     # declared bound: beyond the chain entry the exponential preserves
-    # valuation, val(a_n) = q^j (val(lam) + n + 1)
-    A = B * (lam.val() + 1)
-    for n, c in enumerate(coeffs):
-        v = c.residual_val()
-        if v - B * n < A:
-            A = v - B * n
-    return TateSeries(coeffs, Decay("linear", A, B))
+    # valuation, val(a_n) = val(lam) + n + 1
+    A = lam.val() + 1
+    coeffs = []
+    for n in range(T):
+        z = z * theta_inv
+        coeffs.append(module.exp_eval(z))
+        A = min(A, coeffs[-1].residual_val() - n)
+    return TateSeries(coeffs, Decay("linear", A, 1)).twist(j)
 
 
 def de_rham_pairing(module: TModule, j: int, lam: InfElem, T=None):
@@ -406,17 +390,14 @@ def de_rham_pairing(module: TModule, j: int, lam: InfElem, T=None):
         return lam
     if T is None:
         T = int(lam.prec_val // max(module.q**j - 1, 1)) + 8
-    series = agf(module, lam, j, T)
-    return series.eval_theta()
+    return agf(module, lam, j, T).eval_theta()
 
 
-def quasi_period_matrix(module: TModule, lattice: Lattice, T=None):
-    """[delta_i, lam_j] for i = 1..r over the reduced basis."""
-    out = []
-    for i in range(1, module.rank + 1):
-        row = [de_rham_pairing(module, i, lam, T) for lam in lattice.vectors]
-        out.append(row)
-    return out
+def quasi_period_matrix(module: TModule, lattice: Lattice, T: int):
+    """[delta_i, lam_j] for i = 1..r over the reduced basis: the i-th
+    twists of one AGF per period, evaluated at theta."""
+    Gs = [agf(module, lam, 0, T) for lam in lattice.vectors]
+    return [[G.twist(i).eval_theta() for G in Gs] for i in range(1, module.rank + 1)]
 
 
 class PsiBundle:
@@ -424,9 +405,10 @@ class PsiBundle:
 
     psi_minus is the inverse twist Psi^(-1), built from the untwisted AGF
     columns; psi is its coefficientwise Frobenius twist and carries q
-    times the precision of psi_minus (see build_psi).  psi_inv_theta is Psi^(-1)(theta) = C^T(theta) U^(-1)(theta),
-    evaluated from the twisted AGF columns, whose entries are
-    quasi-periods against the exact basis change.
+    times the precision of psi_minus (see build_psi).  psi_inv_theta is
+    Psi^(-1)(theta) = C^T(theta) U^(-1)(theta), evaluated from the twisted
+    AGF columns, whose entries are quasi-periods against the exact basis
+    change.
     """
 
     def __init__(self, psi, psi_minus, psi_inv_theta, report):
@@ -442,34 +424,26 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     The sigma-fixed vectors attached to the lattice have coordinates
     -<tau^i | G_lam> on the dual basis of the t-module's own motive; the
     matrix Psi it produces is transported to the fixture motive's basis by
-    the recorded basis change (U, U_minus, U_inv).  The result must pass
-    the difference equation against Phi.
+    the recorded basis change (U_minus, U_inv(theta)).  The result must
+    pass the difference equation against Phi.
 
-    psi_minus = U_minus (C_minus^T)^(-1) comes from the columns
-    tau^0..tau^(r-1).  The columns tau^1..tau^r are their coefficientwise
-    Frobenius twist (agf twists the same exponentials), and U is the twist
-    of U_minus, so Psi = psi_minus^(1): the twist is a ring endomorphism
-    and commutes with the inverse and the products.  The residual still
-    judges the result, as psi_minus - Phi psi_minus^(1).  The twisted
-    columns C are evaluated at theta for psi_inv_theta and the period
-    symbols.
+    Row lam of C_minus^T holds -G_lam^(i) for i < r, the twists of the
+    one tau^0 series G_lam, and psi_minus = U_minus (C_minus^T)^(-1).  Its
+    twist C^T holds -G_lam^(i) for i = 1..r, and U is the twist of
+    U_minus, so Psi = psi_minus^(1): the twist is a ring endomorphism and
+    commutes with the inverse and the products.  The residual still judges
+    the result, as psi_minus - Phi psi_minus^(1).  C^T is evaluated at
+    theta for psi_inv_theta and the period symbols.
     """
     r = module.rank
     if len(lattice.vectors) != r:
         raise ConsistencyFailure("lattice rank does not match the module rank")
-    chains = [_agf_exp_chain(module, lam, T) for lam in lattice.vectors]
-    fam = {}
-    for j in range(r + 1):
-        fam[j] = [
-            agf(module, lam, j, T, _chain=chains[i])
-            for i, lam in enumerate(lattice.vectors)
-        ]
-    C = TateMatrix([[-fam[i + 1][jj] for jj in range(r)] for i in range(r)])
-    C_minus = TateMatrix([[-fam[i][jj] for jj in range(r)] for i in range(r)])
-    psi_minus = C_minus.transpose().inverse()
-    ct_theta = C.transpose().eval_theta()
+    Gs = [agf(module, lam, 0, T) for lam in lattice.vectors]
+    ct_minus = TateMatrix([[-G.twist(i) for i in range(r)] for G in Gs])
+    psi_minus = ct_minus.inverse()
+    ct_theta = ct_minus.twist(1).eval_theta()
     if basis_change is not None:
-        _, U_minus, U_inv_theta = basis_change
+        U_minus, U_inv_theta = basis_change
         psi_minus = U_minus @ psi_minus
         psi_inv_theta = mat_mul(ct_theta, U_inv_theta)
     else:

@@ -101,6 +101,13 @@ def test_periods_closed_form_fixture(tmp_path):
     assert "period_symbols" in rep["payload"]
 
 
+def test_symbol_without_a_known_digit_is_a_precision_failure():
+    # at T 8 the tail bound of Omega^3 over F_2 sits below its value at
+    # theta, so the symbol has no known digit: exit 3, not a symbol
+    code, out = run_cli(["periods", "--example", "carlitz-tensor:3", "--q", "2", "--prec", "60", "--trunc", "8"])
+    assert code == 3 and out == ""
+
+
 def test_legendre_require_pass(tmp_path):
     out = tmp_path / "l.json"
     code = main(["legendre", "--example", "carlitz-tensor:2", "--prec", "120",

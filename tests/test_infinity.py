@@ -167,8 +167,11 @@ def test_p_power_root():
 
 def test_packed_mul_matches_naive():
     rng = random.Random(31)
-    # F_4093 at 400 units needs 64-bit slots; the others fit 8, 16 or 32
+    # F_4093 at 400 units needs 64-bit slots; the others fit 8, 16 or 32.
+    # Fields past 4096 elements go through the same kernel.
+    big = [Fq.get(3, 1, 8), Fq.get(2, 1, 13), Fq.get(5, 1, 6), Fq.get(4093, 1, 2)]
     cases = [(F3, 1, 120), (F9, 2, 120), (F2, 1, 120), (F257, 1, 120), (F4093, 1, 120), (F4093, 1, 400)]
+    cases += [(field, 1, 80) for field in big]
     for field, e, top in cases:
         a = rand_elem(rng, field, e=e, prec=top, lead=-10, density=0.9)
         b = rand_elem(rng, field, e=e, prec=top, lead=-7, density=0.9)
@@ -187,6 +190,7 @@ def test_packed_mul_matches_naive():
                 else:
                     naive.pop(k, None)
         assert packed.coeffs == naive
+        assert (a * b).coeffs == naive
 
 
 def test_newton_roots_quadratic_ramified():

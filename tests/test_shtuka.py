@@ -219,6 +219,17 @@ def test_period_symbols_tensor_powers():
         assert diff.is_zero()
 
 
+def test_tensor_symbols_hold_their_stated_precision():
+    # at T 8 the symbol of Omega^2 over F_2 stated 196 digits while its
+    # first digit disagreeing with T 64 sat at u^48; what it states now
+    # must agree with the long truncation
+    fx = get_fixture("carlitz-tensor:2", q=2, N=200)
+    (short,) = period_symbols(fx.motive, fx.psi(T=8, N=200), prec=200)["values"].values()
+    (long,) = period_symbols(fx.motive, fx.psi(T=64, N=200), prec=200)["values"].values()
+    assert short.prec_val < long.prec_val
+    assert (short - long).residual_val() >= short.prec_val
+
+
 def test_extended_symbol_bookkeeping():
     from fractions import Fraction
 

@@ -132,7 +132,7 @@ def test_tail_min_matches_the_scan():
             for B in (Fraction(-1, 2), 0, Fraction(1, 8), Fraction(2, 3), 1, Fraction(3, 2), 4):
                 for i0 in (0, 1, 5, 12):
                     for weight in (1, 2, Fraction(1, 2)):
-                        for decay in (Decay("linear", A, B), Decay("qpow", A, B, q)):
+                        for decay in (Decay("linear", A, B), *(Decay("qpow", A, B, q, s) for s in (1, 2, 3))):
                             if B <= (weight if decay.kind == "linear" else 0):
                                 with pytest.raises(NoDecay):
                                     decay.tail_min(i0, weight)
@@ -151,16 +151,44 @@ def _decayed(rng, decay, T, e):
     return TateSeries(coeffs, decay)
 
 
+def _qpow(rng):
+    return Decay("qpow", rng.randrange(-4, 5), Fraction(rng.randrange(0, 5), rng.randrange(1, 3)), 3, rng.randrange(1, 4))
+
+
 def test_mixed_decay_products_randomized():
+    # linear times stepped qpow, and stepped qpow times stepped qpow
     rng = random.Random(11)
     for _ in range(40):
         e = rng.choice([1, 2])
         lin = Decay("linear", rng.randrange(-4, 5), Fraction(rng.randrange(1, 7), rng.randrange(1, 3)))
-        qp = Decay("qpow", rng.randrange(-4, 5), Fraction(rng.randrange(0, 5), rng.randrange(1, 3)), 3)
-        a = _decayed(rng, lin, 5, e)
-        b = _decayed(rng, qp, 5, e)
-        assert a.check_decay() and b.check_decay()
-        assert (a * b).check_decay() and (b * a).check_decay()
+        a = _decayed(rng, lin, 7, e)
+        b, c = (_decayed(rng, _qpow(rng), 7, e) for _ in range(2))
+        assert a.check_decay() and b.check_decay() and c.check_decay()
+        for prod in (a * b, b * a, b * c, c * b):
+            assert prod.check_decay()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_omega_powers_respect_their_decay(q, n):
+    # at step 1 the product of two qpow bounds claimed A1 + A2 + b + b*q^k
+    # at index k, above what the terms a_i b_(k-i) reach for 0 < i < k
+    power = omega_series(q, 8, 60) ** n
+    assert power.check_decay()
+    assert power.decay.step == n
+
+
+def test_qpow_product_rule_against_every_split():
+    # the declared bound of a product never exceeds the least
+    # A1 + A2 + B1 q^(i // s1) + B2 q^(j // s2) over i + j = k
+    for q in (2, 3):
+        for s1 in (1, 2, 3):
+            for s2 in (1, 2, 3):
+                for B1, B2 in ((1, 1), (Fraction(1, 2), 2), (3, 1), (0, 1)):
+                    d1, d2 = Decay("qpow", -1, B1, q, s1), Decay("qpow", 2, B2, q, s2)
+                    prod = d1.combine_mul(d2)
+                    for k in range(30):
+                        assert prod.bound(k) <= min(d1.bound(i) + d2.bound(k - i) for i in range(k + 1))
 
 
 def test_eval_ring_morphism():
@@ -272,8 +300,10 @@ F9 = Fq.get(3, 2, 1)
 F2 = Fq.get(2, 1, 1)
 F257 = Fq.get(257, 1, 1)
 F4093 = Fq.get(4093, 1, 1)
-PACKED_FIELDS = [F2, F3, F9, F257, F4093]
-PACKED_IDS = ["F2", "F3", "F9", "F257", "F4093"]
+# fields past 4096 elements carry no log tables; the kernel packs their digits all the same
+BIG_FIELDS = [Fq.get(3, 1, 8), Fq.get(2, 1, 13), Fq.get(5, 1, 6), Fq.get(4093, 1, 2)]
+PACKED_FIELDS = [F2, F3, F9, F257, F4093] + BIG_FIELDS
+PACKED_IDS = ["F2", "F3", "F9", "F257", "F4093", "F3^8", "F2^13", "F5^6", "F4093^2"]
 
 
 def _schoolbook(a, b):

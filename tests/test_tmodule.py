@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,7 +9,7 @@ from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import InfElem
 from cmperiods.relhunt import find_linear_relations
 from cmperiods.special import carlitz_period, omega_series
-from cmperiods.tate import TateMatrix, TateSeries, check_difference_eq
+from cmperiods.tate import Decay, TateMatrix, TateSeries, check_difference_eq
 from cmperiods.tmodule import TModule, agf, build_psi, de_rham_pairing, quasi_period_matrix
 
 F3 = Fq.get(3, 1, 1)
@@ -247,12 +248,11 @@ def test_build_psi_budget_keeps_the_report(name, N, T):
     fx = get_fixture(name, q=3, N=N)
     tm = fx.tmodule
     lat = tm.period_lattice()
-    U = fx.basis_change_tate(T, N)
-    bundle = build_psi(tm, lat, fx.motive, T=T, prec=N, basis_change=U)
+    bundle = build_psi(tm, lat, fx.motive, T=T, prec=N, basis_change=fx.basis_change_tate(T, N))
     C = TateMatrix([[-agf(tm, lam, i + 1, T) for lam in lat.vectors] for i in range(tm.rank)])
     full = C.transpose().inverse()
-    if U is not None:
-        full = U[0] @ full
+    if fx.basis_change is not None:
+        full = TateMatrix([[c.realize_tate(T, N) for c in row] for row in fx.basis_change[0]]) @ full
     phi = fx.motive.phi_tate(T, N)
     assert check_difference_eq(phi, full, psi_minus=bundle.psi_minus) == bundle.report
     for got, ref in zip(bundle.psi.rows, full.rows):
@@ -294,20 +294,14 @@ def test_agf_vectors_are_sigma_fixed():
     # the lattice vectors' AGF coordinate columns C on the dual basis
     # satisfy Phi_rho^T C^(-1) = C: exactly the sigma-fixedness of the
     # Betti cycles they represent
-    from cmperiods.fixtures import drinfeld_phi, get_fixture
-    from cmperiods.tate import TateMatrix
-    from cmperiods.tmodule import agf, _agf_exp_chain
+    from cmperiods.fixtures import drinfeld_phi
 
     q, N, T = 3, 120, 16
     fx = get_fixture("kummer-t:3", q=q, N=N)
     tm = fx.tmodule
     lat = tm.period_lattice()
     r = tm.rank
-    chains = [_agf_exp_chain(tm, lam, T) for lam in lat.vectors]
-    fam = {
-        j: [agf(tm, lam, j, T, _chain=chains[i]) for i, lam in enumerate(lat.vectors)]
-        for j in range(r + 1)
-    }
+    fam = {j: [agf(tm, lam, j, T) for lam in lat.vectors] for j in range(r + 1)}
     C = TateMatrix([[-fam[i + 1][jj] for jj in range(r)] for i in range(r)])
     C_minus = TateMatrix([[-fam[i][jj] for jj in range(r)] for i in range(r)])
     ring = fx.motive.ring
@@ -321,3 +315,34 @@ def test_agf_vectors_are_sigma_fixed():
             diff = lhs.rows[i][j] - C.rows[i][j]
             for c in diff.coeffs[: T - 1]:
                 assert c.is_zero() or c.residual_val() >= N - 20
+
+
+def _agf_per_j(tm, lam, j, T):
+    """The earlier per-j AGF, kept as reference: the exponentials
+    exp(lam theta^(-n-1)), their q^j-th powers, and a decay scan with
+    slope q^j."""
+    fld = tm.field.compositum(lam.field)
+    e = lcm(tm.e, lam.e)
+    theta_inv = InfElem.theta(fld, tm.coeffs[0].prec // tm.e, e).inverse()
+    z = lam.lift(fld, e) * theta_inv
+    coeffs = []
+    for _ in range(T):
+        coeffs.append(tm.exp_eval(z).frobenius(j))
+        z = z * theta_inv
+    B = tm.q**j
+    A = B * (lam.val() + 1)
+    for n, c in enumerate(coeffs):
+        A = min(A, c.residual_val() - B * n)
+    return TateSeries(coeffs, Decay("linear", A, B))
+
+
+@pytest.mark.parametrize(
+    "name, q", [("carlitz", 2), ("carlitz", 3), ("carlitz", 4), ("kummer-t:3", 3), ("const-ext:2", 3), ("const-ext:2", 4)]
+)
+def test_agf_twists_match_the_per_j_reference(name, q):
+    # every tau^j column is the j-th twist of the one tau^0 series
+    N, T = 60, 12
+    tm = get_fixture(name, q=q, N=N).tmodule
+    for lam in tm.period_lattice().vectors:
+        for j in range(tm.rank + 1):
+            assert agf(tm, lam, j, T).to_json() == _agf_per_j(tm, lam, j, T).to_json()
