@@ -12,14 +12,16 @@ without a Conway-polynomial database.
 Fields of size at most 2^12 carry discrete-log tables; multiplication in
 larger fields falls back to polynomial arithmetic.
 
-The dense-polynomial toolkit at the end (poly_* and Poly) serves every
+FPoly is the one polynomial ring over a field's plain ints: polynomial
+roots, irreducibility over F_p and each field's reduction table all run on
+it.  The dense-polynomial toolkit at the end (poly_* and Poly) serves every
 other coefficient ring of the package: the exact scalars of shtuka.py and
-the Puiseux series of infinity.py.  FPoly keeps its own arithmetic, on
-plain field ints.
+the Puiseux series of infinity.py.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import TargetTooSmall
@@ -28,79 +30,6 @@ DESK_Q_MAX = 1 << 16
 TABLE_MAX = 1 << 12
 
 _FIELD_CACHE: dict[tuple, "Fq"] = {}
-
-
-# ---------------------------------------------------------------------------
-# F_p[x] helpers on digit tuples (little-endian, no trailing zeros)
-
-
-def _ptrim(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _padd(p, u, v):
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, d in enumerate(v):
-        out[i] = (out[i] + d) % p
-    return _ptrim(tuple(out))
-
-
-def _pmul(p, u, v):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, du in enumerate(u):
-        if du:
-            for j, dv in enumerate(v):
-                out[i + j] = (out[i + j] + du * dv) % p
-    return _ptrim(tuple(out))
-
-
-def _pmod(p, u, mod):
-    u = list(u)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(u) > dm:
-        c = u[-1] % p
-        if c:
-            f = (c * inv_lead) % p
-            for i in range(dm + 1):
-                u[len(u) - 1 - dm + i] = (u[len(u) - 1 - dm + i] - f * mod[i]) % p
-        u.pop()
-    return _ptrim(tuple(u))
-
-
-def _ppowmod(p, u, e, mod):
-    r = (1,)
-    b = _pmod(p, u, mod)
-    while e:
-        if e & 1:
-            r = _pmod(p, _pmul(p, r, b), mod)
-        b = _pmod(p, _pmul(p, b, b), mod)
-        e >>= 1
-    return r
-
-
-def _pgcd(p, u, v):
-    while v:
-        inv = pow(v[-1], p - 2, p)
-        r = list(u)
-        dv = len(v) - 1
-        while len(r) - 1 >= dv and r:
-            c = r[-1] % p
-            if c:
-                f = (c * inv) % p
-                for i in range(dv + 1):
-                    r[len(r) - 1 - dv + i] = (r[len(r) - 1 - dv + i] - f * v[i]) % p
-            r.pop()
-            r = list(_ptrim(tuple(r)))
-        u, v = v, _ptrim(tuple(r))
-    return u
 
 
 def _prime_factors(n):
@@ -129,30 +58,32 @@ def q_split(q):
 
 
 def is_irreducible(p, coeffs):
-    """Distinct-degree (Rabin) irreducibility test for a monic poly over F_p."""
-    coeffs = _ptrim(tuple(c % p for c in coeffs))
+    """Rabin's irreducibility test for a monic poly over F_p: f of degree n
+    divides x^(p^n) - x and is prime to x^(p^(n/l)) - x for each prime l | n.
+
+    Degree at most 1 is settled before the prime field is built, so that
+    building F_p itself does not come back here.
+    """
+    coeffs = _trim_fq([c % p for c in coeffs])
     n = len(coeffs) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    # x^(p^n) == x mod f
-    t = x
-    for _ in range(n):
-        t = _ppowmod(p, t, p, coeffs)
-    if _padd(p, t, tuple((-c) % p for c in x)) != ():
-        return False
-    for ell in _prime_factors(n):
+    if n <= 1:
+        return n == 1
+    prime = Fq.get(p, 1, 1)
+    f, x = FPoly(prime, coeffs), FPoly.x(prime)
+
+    def frob_x(k):
+        # x^(p^k) mod f
         t = x
-        for _ in range(n // ell):
-            t = _ppowmod(p, t, p, coeffs)
-        g = _pgcd(p, coeffs, _padd(p, t, tuple((-c) % p for c in x)))
-        if len(g) - 1 != 0:
-            return False
-    return True
+        for _ in range(k):
+            t = t.powmod(p, f)
+        return t
+
+    if frob_x(n) != x:
+        return False
+    return all(f.gcd(frob_x(n // ell) - x).deg == 0 for ell in _prime_factors(n))
 
 
+@lru_cache(maxsize=None)
 def canonical_modulus(p, n):
     """Smallest monic irreducible of degree n over F_p in integer encoding."""
     if n == 1:
@@ -179,7 +110,7 @@ class Fq:
 
     __slots__ = (
         "p", "a", "m", "n", "size", "modulus", "gen",
-        "_log", "_exp", "_vec", "_red", "_embeds",
+        "_log", "_exp", "_vec", "_red", "_embeds", "_baby",
     )
 
     def __init__(self, p, a, m, modulus):
@@ -193,12 +124,16 @@ class Fq:
         self._vec = None
         self._log = None
         self._exp = None
-        # digit vectors of x^(n+k) mod modulus for k = 0..n-1
+        self._baby = None
+        # digit vectors of x^(n+k) mod modulus for k = 0..n-1; a product in
+        # a field of degree 1 has no digit to reduce
         self._red = []
-        cur = _pmod(p, (0,) * self.n + (1,), modulus)
-        for _ in range(self.n):
-            self._red.append(tuple(cur) + (0,) * (self.n - len(cur)))
-            cur = _pmod(p, (0,) + tuple(cur), modulus)
+        if self.n > 1:
+            prime = Fq.get(p, 1, 1)
+            mod = FPoly(prime, modulus)
+            for k in range(self.n):
+                red = (FPoly(prime, (0,) * (self.n + k) + (1,)) % mod).coeffs
+                self._red.append(red + (0,) * (self.n - len(red)))
         self.gen = self._find_generator()
         if self.size <= TABLE_MAX:
             self._build_tables()
@@ -209,7 +144,7 @@ class Fq:
     def get(p, a, m, modulus=None):
         if modulus is None:
             modulus = canonical_modulus(p, a * m)
-        modulus = _ptrim(tuple(c % p for c in modulus))
+        modulus = tuple(_trim_fq([c % p for c in modulus]))
         key = (p, a, m, modulus)
         fld = _FIELD_CACHE.get(key)
         if fld is None:
@@ -246,7 +181,13 @@ class Fq:
         return tuple(out)
 
     def _raw_mul(self, x, y):
-        return self.reduce_digits(_pmul(self.p, self._decode(x), self._decode(y)))
+        u, v = self._decode(x), self._decode(y)
+        out = [0] * (2 * self.n - 1)
+        for i, du in enumerate(u):
+            if du:
+                for j, dv in enumerate(v):
+                    out[i + j] += du * dv
+        return self.reduce_digits(out)
 
     def _build_tables(self):
         self._vec = [self._decode(x) for x in range(self.size)]
@@ -343,15 +284,17 @@ class Fq:
             raise ZeroDivisionError("dlog of zero")
         if self._log is not None:
             return self._log[x]
-        # baby-step giant-step
+        # baby-step giant-step; the baby steps are built once per field
         order = self.size - 1
-        s = int(order**0.5) + 1
-        baby = {}
-        cur = 1
-        for j in range(s):
-            baby.setdefault(cur, j)
-            cur = self.mul(cur, self.gen)
-        step = self.inv(self._pow_raw(self.gen, s))
+        if self._baby is None:
+            s = int(order**0.5) + 1
+            baby = {}
+            cur = 1
+            for j in range(s):
+                baby.setdefault(cur, j)
+                cur = self.mul(cur, self.gen)
+            self._baby = (s, baby, self.inv(self._pow_raw(self.gen, s)))
+        s, baby, step = self._baby
         cur = x
         for i in range(s + 1):
             if cur in baby:
@@ -456,40 +399,16 @@ def ff_frobenius(field: Fq, x: int, n: int) -> int:
 def poly_roots(coeffs, field: Fq):
     """All roots in field of a polynomial given by Fq-coefficient list.
 
-    Returns [(root, multiplicity)].  Brute force for desk-scale fields;
-    a powmod split handles anything larger.
+    Returns [(root, multiplicity)], sorted by root.  gcd(f, y^size - y) is
+    the product of the distinct linear factors of f, split by equal-degree
+    gcds (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14): with
+    (y + s)^((size-1)/2) - 1 for odd p, and for p = 2 with the traces
+    Tr(gen^s * y), s < n.  The gen^s form an F_2-basis, so some trace
+    tells any two roots apart.
     """
-    coeffs = _trim_fq(coeffs)
-    if not coeffs:
+    f = FPoly(field, coeffs)
+    if f.is_zero():
         raise ValueError("zero polynomial")
-    if field.size > DESK_Q_MAX:
-        roots = _poly_roots_large(coeffs, field)
-    else:
-        roots = []
-        for x in field.elements():
-            acc = 0
-            for c in reversed(coeffs):
-                acc = field.add(field.mul(acc, x), c)
-            if acc == 0:
-                roots.append(x)
-    out = []
-    for r in sorted(roots):
-        lin = FPoly(field, (field.neg(r), 1))
-        work, mult = FPoly(field, coeffs), 0
-        while True:
-            quot, rem = work.divmod(lin)
-            if not rem.is_zero():
-                break
-            work, mult = quot, mult + 1
-        out.append((r, mult))
-    return out
-
-
-def _poly_roots_large(coeffs, field):
-    # The distinct roots of coeffs.  The gcd with y^size - y isolates the
-    # split part; its roots separate by gcds with (y + s)^((size-1)/2) - 1
-    # for odd p, and for p = 2 with the traces Tr(gen^s * y), s < n: the
-    # gen^s form an F_2-basis, so some trace tells any two roots apart.
     one = FPoly.const(field, 1)
     y = FPoly.x(field)
 
@@ -517,11 +436,20 @@ def _poly_roots_large(coeffs, field):
                 return
         raise RuntimeError("root splitting failed")
 
-    g = FPoly(field, coeffs)
-    sq = g.gcd(y.powmod(field.size, g) - y)
-    if sq.deg > 0:
-        split(sq)
-    return roots
+    linear = f.gcd(y.powmod(field.size, f) - y)
+    if linear.deg > 0:
+        split(linear)
+    out = []
+    for r in sorted(roots):
+        lin = FPoly(field, (field.neg(r), 1))
+        work, mult = f, 0
+        while True:
+            quot, rem = work.divmod(lin)
+            if not rem.is_zero():
+                break
+            work, mult = quot, mult + 1
+        out.append((r, mult))
+    return out
 
 
 def poly_roots_in_ext(coeffs, source: Fq, target: Fq, require_all=False):
@@ -614,11 +542,12 @@ class FPoly:
         f = self.field
         if self.is_zero() or other.is_zero():
             return FPoly.zero(f, self.var)
+        add, mul = f.add, f.mul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, cu in enumerate(self.coeffs):
             if cu:
                 for j, cv in enumerate(other.coeffs):
-                    out[i + j] = f.add(out[i + j], f.mul(cu, cv))
+                    out[i + j] = add(out[i + j], mul(cu, cv))
         return FPoly(f, out, self.var)
 
     def scale(self, c):
@@ -630,21 +559,19 @@ class FPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        dv = other.deg
-        inv = f.inv(other.coeffs[-1])
+        add, mul = f.add, f.mul
+        rem, g = list(self.coeffs), other.coeffs
+        dv = len(g) - 1
+        inv = f.inv(g[-1])
         quot = [0] * max(0, len(rem) - dv)
-        while len(rem) - 1 >= dv and rem:
-            c = rem[-1]
+        for k in reversed(range(len(quot))):
+            c = rem[k + dv]
             if c:
-                fac = f.mul(c, inv)
-                quot[len(rem) - 1 - dv] = fac
-                for i in range(dv + 1):
-                    rem[len(rem) - 1 - dv + i] = f.sub(rem[len(rem) - 1 - dv + i], f.mul(fac, other.coeffs[i]))
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return FPoly(f, quot, self.var), FPoly(f, rem, self.var)
+                quot[k] = mul(c, inv)
+                neg = f.neg(quot[k])
+                for i in range(dv):
+                    rem[k + i] = add(rem[k + i], mul(neg, g[i]))
+        return FPoly(f, quot, self.var), FPoly(f, rem[:dv], self.var)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -653,15 +580,18 @@ class FPoly:
         return self.divmod(other)[0]
 
     def powmod(self, e, mod):
-        """self^e mod `mod`, by repeated squaring."""
-        r = FPoly.const(self.field, 1, self.var) % mod
-        b = self % mod
-        while e:
+        """self^e mod `mod`, by repeated squaring from the lowest bit, with
+        no product by one and no square past the top bit."""
+        if not e:
+            return FPoly.const(self.field, 1, self.var) % mod
+        r, b = None, self % mod
+        while True:
             if e & 1:
-                r = r * b % mod
-            b = b * b % mod
+                r = b if r is None else r * b % mod
             e >>= 1
-        return r
+            if not e:
+                return r
+            b = b * b % mod
 
     def gcd(self, other):
         a, b = self, other

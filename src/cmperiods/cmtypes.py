@@ -174,7 +174,6 @@ class CMFieldModel:
 
     def automorphism_maps(self):
         """Permutations of point labels generating the supplied Galois data."""
-        pts = None
         if self.kind == "rational":
             return [{}]
         if self.kind == "monogenic":
@@ -185,7 +184,6 @@ class CMFieldModel:
                     "mu_E is not contained in F_q; supply an explicit action"
                 )
             pts = self.points()
-            byval = {}
             maps = []
             for eps in eps_list:
                 perm = {}

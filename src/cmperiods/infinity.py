@@ -561,7 +561,7 @@ def _newton_polygon(f):
     return segs
 
 
-def newton_roots(f, max_depth=8):
+def newton_roots(f):
     """All roots (with multiplicity) of a polynomial with InfElem coefficients.
 
     Newton-polygon slope segmentation followed by Hensel lifting; each root
@@ -584,7 +584,7 @@ def newton_roots(f, max_depth=8):
         z = InfElem.zero(f[0].field, f[0].prec // f[0].e, f[0].e, f[0].var)
         roots.append((z, nzero))
         f = f[nzero:]
-    simple = _squarefree_roots(f, max_depth)
+    simple = _squarefree_roots(f)
     # assign multiplicities by trial division
     for r in simple:
         mult = 0
@@ -621,7 +621,7 @@ def _negligible(rem, context):
     return rem.val() - scale >= Fraction(3, 4) * (rem.prec_val - scale)
 
 
-def _squarefree_roots(f, max_depth):
+def _squarefree_roots(f):
     """Distinct roots of f (InfElem coefficients, constant term nonzero)."""
     fld = f[0].field
     p = fld.p
@@ -629,15 +629,16 @@ def _squarefree_roots(f, max_depth):
     if not deriv:
         # f(y) = g(y^p): take p-th roots of the roots of g
         g = [f[i] for i in range(0, len(f), p)]
-        return [r.nth_root(p) for r in _squarefree_roots(g, max_depth)]
+        return [r.nth_root(p) for r in _squarefree_roots(g)]
     g = poly_gcd(f, deriv)
     if len(g) > 1:
         f = poly_norm(poly_divmod(f, g)[0])
-    return _polygon_roots(f, max_depth)
+    return _polygon_roots(f)
 
 
-def _polygon_roots(f, depth, min_val=None):
-    """Distinct roots of f with valuation strictly above min_val."""
+def _polygon_roots(f, depth=8, min_val=None):
+    """Distinct roots of f with valuation strictly above min_val, through at
+    most depth nested Puiseux shifts."""
     if depth <= 0:
         raise PrecisionExhausted("Puiseux recursion depth exhausted")
     f = poly_norm(align_all(f)[0])

@@ -36,6 +36,29 @@ from .tate import TateMatrix, TateSeries, adj_inverse, det
 # exact scalars: rational functions and Kummer-ring elements
 
 
+def _mul_mod(a, b, c, zero):
+    """The product of two coefficient lists of length E modulo x^E - c:
+    the full product has degree at most 2E - 2, and x^(E+k) = c * x^k.
+    Slots start empty rather than at zero: a RatF sum with zero still
+    costs a gcd in F_q[theta]."""
+    E = len(a)
+    out = [None] * (2 * E - 1)
+
+    def acc(k, t):
+        out[k] = t if out[k] is None else out[k] + t
+
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                acc(i + j, x * y)
+    for k in range(E, 2 * E - 1):
+        if out[k] is not None:
+            acc(k - E, out[k] * c)
+    return [zero if t is None else t for t in out[:E]]
+
+
 class RatF:
     """Rational function num/den over a constant field, variable theta."""
 
@@ -181,22 +204,8 @@ class WElem:
         return self + (-o)
 
     def __mul__(self, o):
-        E = self.ring.E
-        u = RatF(self.ring.u)
-        out = [RatF.const(self.ring.cfield, 0)] * E
-        for i, a in enumerate(self.vec):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.vec):
-                if b.is_zero():
-                    continue
-                k = i + j
-                term = a * b
-                if k >= E:
-                    k -= E
-                    term = term * u
-                out[k] = out[k] + term
-        return WElem(self.ring, tuple(out))
+        ring = self.ring
+        return WElem(ring, _mul_mod(self.vec, o.vec, RatF(ring.u), RatF.const(ring.cfield, 0)))
 
     def __eq__(self, o):
         return isinstance(o, WElem) and self.ring is o.ring and self.vec == o.vec
@@ -290,21 +299,8 @@ class CoordElem:
         return CoordElem(self.ring, [a + b for a, b in zip(self.ypows, o.ypows)], self.u_t)
 
     def __mul__(self, o):
-        E = self.ring.E
-        z = WPoly(self.ring, [])
-        out = [z] * (2 * E)
-        for i, a in enumerate(self.ypows):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.ypows):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        for k in range(2 * E - 1, E - 1, -1):
-            if not out[k].is_zero():
-                out[k - E] = out[k - E] + out[k] * self.u_t
-                out[k] = z
-        return CoordElem(self.ring, out[:E], self.u_t)
+        zero = WPoly(self.ring, [])
+        return CoordElem(self.ring, _mul_mod(self.ypows, o.ypows, self.u_t, zero), self.u_t)
 
     def to_ypoly(self):
         """Rewrite as a one-variable polynomial in y over W (t eliminated)."""

@@ -210,12 +210,12 @@ class TateSeries:
             x = xx * (two_s - a * xx)
         return x
 
-    def eval_theta(self, weight=1):
+    def eval_theta(self):
         """Sum a_i theta^i, tail bounded by the decay descriptor."""
         if self.decay is None:
             raise NoDecay("series carries no decay descriptor")
         e = self.e
-        tail = self.decay.tail_min(self.T, weight)
+        tail = self.decay.tail_min(self.T)
         acc = None
         for i, c in enumerate(self.coeffs):
             term = c.mono_mul(1, -e * i)

@@ -115,12 +115,11 @@ class TModule:
             self._log = ls
         return self._log[: i_max + 1]
 
-    def exp_eval(self, z: InfElem, target_val=None):
-        """exp(z), summing until two consecutive terms fall below the target."""
+    def exp_eval(self, z: InfElem):
+        """exp(z), summing until two consecutive terms fall below z's precision."""
         if z.is_zero():
             return z
-        if target_val is None:
-            target_val = z.prec_val
+        target_val = z.prec_val
         acc = None
         i = 0
         settled = 0
@@ -140,7 +139,7 @@ class TModule:
                 raise PrecisionExhausted("exponential did not converge")
         return acc
 
-    def log_eval(self, z: InfElem, require_domain=True):
+    def log_eval(self, z: InfElem):
         """log(z) for z in the convergence domain: the valuations of the
         nonzero terms must climb strictly from the first one, so that
         exp(log z) = z holds."""
@@ -154,12 +153,7 @@ class TModule:
             if not L.is_zero():
                 term = L * z.frobenius(i)
                 tv = term.residual_val()
-                if (
-                    require_domain
-                    and last is not None
-                    and seen <= 2 * self.rank + 2
-                    and tv <= last
-                ):
+                if last is not None and seen <= 2 * self.rank + 2 and tv <= last:
                     raise ChainNotConverging("point is outside the logarithm domain")
                 acc = term if acc is None else acc + term
                 last = tv
@@ -231,17 +225,18 @@ class TModule:
 
     # -- periods ---------------------------------------------------------------
 
-    def period_from_torsion(self, x1: InfElem, max_depth=60):
+    def period_from_torsion(self, x1: InfElem):
         """theta^n log(x_n) along the maximal-valuation chain through x1.
 
         x_n = exp(lambda theta^(-n)) with x_1 the given torsion point; once
-        two consecutive depths agree at precision the value is accepted.
+        two consecutive depths agree at precision the value is accepted;
+        60 depths without agreement give up.
         """
         theta = InfElem.theta(self.field, self.coeffs[0].prec // self.e, self.e)
         x = x1
         scale = theta
         lam = None
-        for _ in range(max_depth):
+        for _ in range(60):
             try:
                 lg = self.log_eval(x)
             except ChainNotConverging:

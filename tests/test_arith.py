@@ -22,6 +22,56 @@ def test_canonical_modulus_irreducible():
         assert is_irreducible(p, mod)
 
 
+def _divides(p, d, f):
+    # long division of f by the monic d over F_p, on digit lists
+    r = list(f)
+    for k in range(len(f) - len(d), -1, -1):
+        c = r[k + len(d) - 1]
+        if c:
+            for i, di in enumerate(d):
+                r[k + i] = (r[k + i] - c * di) % p
+    return not any(r)
+
+
+def _monic(p, n, low):
+    # the monic polynomial of degree n whose lower digits encode low
+    return [low // p**i % p for i in range(n)] + [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_against_trial_division(p):
+    # reference: f of degree n is irreducible iff no monic polynomial of
+    # degree 1..n/2 divides it
+    rng = random.Random(p)
+    for n in range(1, 7):
+        lows = range(p**n) if p**n <= 729 else rng.sample(range(p**n), 150)
+        divisors = [_monic(p, k, low) for k in range(1, n // 2 + 1) for low in range(p**k)]
+        for low in lows:
+            f = _monic(p, n, low)
+            expected = not any(_divides(p, d, f) for d in divisors)
+            assert is_irreducible(p, f) == expected, f
+
+
+# canonical_modulus(p, n) as the integer sum(c_i p^i), and Fq.gen, recorded
+# before F_p[x] arithmetic moved onto FPoly; every field encoding and so
+# every payload depends on them
+RECORDED_FIELDS = {
+    2: [(2, 1), (7, 2), (11, 2), (19, 2), (37, 2), (67, 2), (131, 2), (283, 3), (515, 7),
+        (1033, 2), (2053, 2), (4105, 3), (8219, 2), (16417, 7), (32771, 2), (65579, 3)],
+    3: [(3, 2), (10, 4), (34, 3), (86, 3), (250, 3), (734, 3), (2198, 5), (6572, 38),
+        (19747, 3)],
+    5: [(5, 2), (27, 6), (131, 9), (627, 6), (3146, 10), (15632, 5)],
+    4093: [(4093, 2), (16752651, 4103)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(RECORDED_FIELDS))
+def test_canonical_moduli_and_generators_pinned(p):
+    for n, (modulus, gen) in enumerate(RECORDED_FIELDS[p], start=1):
+        assert sum(c * p**i for i, c in enumerate(canonical_modulus(p, n))) == modulus
+        assert Fq.get(p, 1, n).gen == gen
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(ValueError):
@@ -109,6 +159,44 @@ def test_poly_roots_in_ext_examples():
     assert poly_roots_in_ext([1, F3.neg(2 % 3), 1], F3, F3) == [(1, 2)]
 
 
+def _roots_by_search(coeffs, F):
+    # reference: evaluate at every element by Horner's rule
+    roots = []
+    for x in F.elements():
+        acc = 0
+        for c in reversed(coeffs):
+            acc = F.add(F.mul(acc, x), c)
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "p, n, cases",
+    [(2, 1, 30), (3, 1, 30), (2, 2, 30), (3, 2, 30), (2, 12, 4), (4093, 1, 4)],
+)
+def test_poly_roots_against_exhaustive_search(p, n, cases):
+    # planted roots, 0 among them in every other case and one of them
+    # repeated, times a cofactor with no root in F; the search finds the
+    # roots and the plant gives their multiplicities
+    F = Fq.get(p, 1, n)
+    rng = random.Random(p * 100 + n)
+    for case in range(cases):
+        planted = [rng.randrange(F.size) for _ in range(rng.randrange(4))]
+        planted += [0] * (case % 2) + planted[:1]
+        while True:
+            cofactor = [rng.randrange(F.size) for _ in range(rng.randrange(3))] + [1]
+            if not _roots_by_search(cofactor, F):
+                break
+        f = FPoly(F, cofactor).scale(rng.randrange(1, F.size))
+        for r in planted:
+            f = f * FPoly(F, [F.neg(r), 1])
+        coeffs = list(f.coeffs)
+        found = poly_roots(coeffs, F)
+        assert [r for r, _ in found] == _roots_by_search(coeffs, F)
+        assert found == sorted((r, planted.count(r)) for r in set(planted))
+
+
 def test_poly_roots_completeness_flag():
     F3 = Fq.get(3, 1, 1)
     with pytest.raises(TargetTooSmall):
@@ -146,6 +234,20 @@ def test_embedding_is_ring_homomorphism():
                 assert phi(small.mul(x, y)) == big.mul(phi(x), phi(y))
 
 
+@pytest.mark.parametrize(
+    "p, n, big_n, image",
+    [(3, 4, 8, 729), (2, 2, 14, 5107), (5, 3, 6, 12499)],
+)
+def test_embedding_generator_images_pinned(p, n, big_n, image):
+    # images of the generator recorded when fields of up to 2^16 elements
+    # were searched for the modulus root
+    small, big = Fq.get(p, 1, n), Fq.get(p, 1, big_n)
+    phi = small.embed_into(big)
+    assert phi(small.gen) == image
+    root = phi(p)  # the image of x is a root of the modulus
+    assert reduce(big.add, (big.mul(c, big.pow(root, i)) for i, c in enumerate(small.modulus))) == 0
+
+
 def test_fpoly_divmod_gcd():
     F = Fq.get(3, 1, 1)
     x = FPoly.x(F)
@@ -165,6 +267,7 @@ def test_large_field_path():
     assert F.mul(x, F.inv(x)) == 1
     assert ff_frobenius(F, ff_frobenius(F, x, 3), -3) == x
     assert F.dlog(F.pow(F.gen, 777)) == 777
+    assert all(F.pow(F.gen, F.dlog(x)) == x for x in range(1, F.size, 97))
     # generators and discrete logs as recorded before the table and
     # non-table paths shared one generator search
     recorded = {
@@ -185,8 +288,7 @@ def test_large_field_path():
     [(2, 17, [5, 77777, 77777]), (3, 11, [7, 7, 12345, 100000]), (257, 3, [3, 1000000, 3])],
 )
 def test_large_field_planted_roots(p, n, roots):
-    # fields above DESK_Q_MAX are split by gcds, not searched; each case
-    # plants one double root
+    # fields of more than 2^16 elements; each case plants one double root
     F = Fq.get(p, 1, n)
     f = FPoly.const(F, 1)
     for r in roots:
