@@ -120,7 +120,11 @@ class CMFieldModel:
             if ell is None:
                 raise ValueError("constant-ext model needs ell")
             self.ell = ell
-            self.const_field = Fq.get(p, a, ell)
+            self.const_field = K = Fq.get(p, a, ell)
+            # the presentation generator g: the least root of K's modulus
+            self.const_gen = min(
+                r for r, _ in poly_roots_in_ext(list(K.modulus), self.base, K, require_all=True)
+            )
             self.degree = ell
         else:
             raise ValueError(f"unknown model kind {kind!r}")
@@ -253,13 +257,11 @@ class CMFieldModel:
 
     def _points_const_ext(self, prec):
         K = self.const_field
-        roots = poly_roots_in_ext(list(K.modulus), self.base, K, require_all=True)
-        gen_root = min(r for r, _ in roots)  # the presentation generator g
         decorated = []
         # the F_p-modulus has a*ell roots; the points are the ell
         # Frob_q-conjugates of g, component i: g^(q^(ell - i)) = Frob_q^(-i)(g)
         for comp in range(self.ell):
-            r = K.frob_q(gen_root, -comp)
+            r = K.frob_q(self.const_gen, -comp)
             decorated.append((K.dlog(r) if r else -1, InfElem.const(K, r, prec), comp))
         decorated.sort(key=lambda x: x[0])
         return [

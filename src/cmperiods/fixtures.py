@@ -2,8 +2,8 @@
 generalized CM type with its motive, its t-module (when the analytic side
 is wired up), and the exact basis change aligning the two presentations.
 
-Names accepted by the CLI: carlitz, carlitz-tensor:n, kummer-t:q,
-const-ext:l (l fixed to 2, q taken from --q).
+Names accepted by the CLI: carlitz, carlitz-tensor:2/3, kummer-t:3/5 and
+const-ext:2/3 (q taken from --q for all but kummer-t).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .shtuka import (
     DualMotive,
     WPoly,
     WRing,
-    _const_roots,
     build_motive,
     solve_shtuka,
     t_minus_theta,
@@ -209,8 +208,7 @@ def const_ext_fixture(q, ell=2, N=200):
     one = InfElem.const(fld, 1, N)
     zero = InfElem.zero(fld, N)
     coeffs = [theta] + [zero] * (ell - 1) + [one]
-    gen_root = min(r for r, _ in _const_roots(model))
-    cm = [InfElem.const(fld, gen_root, N)]
+    cm = [InfElem.const(fld, model.const_gen, N)]
     tmod = TModule(coeffs, cm_action=cm, name=f"const-ext:{ell}")
     return Fixture(
         name=model.name,
@@ -239,4 +237,6 @@ def get_fixture(name, q=None, N=200):
     raise KeyError(f"unknown fixture {name!r}")
 
 
-FIXTURE_NAMES = ["carlitz", "carlitz-tensor:2", "carlitz-tensor:3", "kummer-t:3", "kummer-t:5", "const-ext:2"]
+FIXTURE_NAMES = [
+    "carlitz", "carlitz-tensor:2", "carlitz-tensor:3", "kummer-t:3", "kummer-t:5", "const-ext:2", "const-ext:3"
+]

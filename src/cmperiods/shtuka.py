@@ -9,13 +9,18 @@ are rejected at model load; every shipped family fits this shape.
 On a genus-zero model every degree-zero divisor is principal, so the
 divisor equation for a generalized CM type Xi is solved with W = 0 and
 
-    h = prod over xi of (y - nu_xi(y))^(m_xi),
+    h = prod over xi of (y - nu_xi)^(m_xi)  in W[y],
 
-whose poles automatically match the reduction of Xi at infinity.  The
+whose poles automatically match the reduction of Xi at infinity.  Every
+shipped model has the Kummer shape y^E = u(t) with u linear: nu = eps * w
+on Kummer models, and the rational and constant-field models take E = 1,
+u(t) = t, so nu = w = theta.  h is built once, in W[y]; folding it through
+y^E = u(t) gives its coordinates on the basis 1, y, .., y^(E-1).  The
 motive is the coordinate ring with sigma acting by m -> h * twist(m);
-its matrix on the fixed basis, the sigma-ideal identity, Hodge-Pink
-weights (by exact Smith reduction at t - theta), eigen-differentials and
-period symbols are computed here.
+its matrix on the fixed basis, the sigma-ideal identity (read off that
+matrix), Hodge-Pink weights (by exact Smith reduction at t - theta),
+eigen-differentials and period symbols are computed here.  Tensor
+products are the motives of summed divisors.
 """
 
 from __future__ import annotations
@@ -280,49 +285,38 @@ def t_minus_theta(ring: WRing):
     return WPoly(ring, [-ring.theta(), ring.one()])
 
 
-class CoordElem:
-    """Element of the coordinate ring W[t][y] / (y^E - u(t)), u linear in t.
+def _times_y(ypows, u_t):
+    """y times an element of W[t][y]/(y^E - u(t)) given by its y-power
+    coefficients: the top one wraps around as u(t) times itself."""
+    return [ypows[-1] * u_t] + ypows[:-1]
 
-    Stored as y-power coefficients, each a WPoly in t.
-    """
 
-    __slots__ = ("ring", "ypows", "u_t")
+def _fold(h, u_t, E):
+    """h in W[y] as its y-power coefficients 0..E-1, each a WPoly in t,
+    through y^E = u(t) (Horner from the top coefficient)."""
+    ring = u_t.ring
+    acc = [WPoly(ring, [])] * E
+    for c in reversed(h.coeffs):
+        acc = _times_y(acc, u_t)
+        acc[0] = acc[0] + WPoly.const(ring, c)
+    return acc
 
-    def __init__(self, ring: WRing, ypows, u_t: WPoly):
-        z = WPoly(ring, [])
-        ypows = list(ypows) + [z] * (ring.E - len(ypows))
-        self.ring = ring
-        self.ypows = ypows[: ring.E]
-        self.u_t = u_t
 
-    def __add__(self, o):
-        return CoordElem(self.ring, [a + b for a, b in zip(self.ypows, o.ypows)], self.u_t)
-
-    def __mul__(self, o):
-        zero = WPoly(self.ring, [])
-        return CoordElem(self.ring, _mul_mod(self.ypows, o.ypows, self.u_t, zero), self.u_t)
-
-    def to_ypoly(self):
-        """Rewrite as a one-variable polynomial in y over W (t eliminated)."""
-        ring = self.ring
-        u1 = self.u_t.coeffs[1] if self.u_t.deg >= 1 else ring.zero()
-        u0 = self.u_t.coeffs[0] if self.u_t.coeffs else ring.zero()
-        if u1.is_zero():
-            raise UnsupportedGenus("u(t) must be linear in t for the y-rewrite")
-        u1inv = u1.inverse()
-        # t = (y^E - u0)/u1
-        E = self.ring.E
-        t_poly = [(-u0) * u1inv] + [ring.zero()] * (E - 1) + [u1inv]
-        t_as_y = WPoly(ring, t_poly, var="y")
-        acc = WPoly(ring, [], var="y")
-        for i, c in enumerate(self.ypows):
-            if c.is_zero():
-                continue
-            term = WPoly(ring, [ring.zero()] * i + [ring.one()], var="y")
-            # c, a polynomial in t, evaluated at t_as_y
-            val = poly_eval([WPoly.const(ring, tc, var="y") for tc in c.coeffs], t_as_y)
-            acc = acc + val * term
-        return acc
+def _unfold(ypows, u_t):
+    """The inverse of _fold: sum_j c_j(t) y^j with t = (y^E - u0)/u1."""
+    ring = u_t.ring
+    if u_t.deg != 1:
+        raise UnsupportedGenus("u(t) must be linear in t for the y-rewrite")
+    u0, u1 = u_t.coeffs
+    u1inv = u1.inverse()
+    t_as_y = WPoly(ring, [(-u0) * u1inv] + [ring.zero()] * (len(ypows) - 1) + [u1inv], var="y")
+    y = WPoly.x(ring, var="y")
+    acc = WPoly(ring, [], var="y")
+    for c in reversed(ypows):
+        acc = acc * y
+        if not c.is_zero():
+            acc = acc + poly_eval([WPoly.const(ring, a, var="y") for a in c.coeffs], t_as_y)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +324,29 @@ class CoordElem:
 
 
 class ShtukaPair:
-    """W = 0 together with the function h solving the divisor equation."""
+    """W = 0 together with the function h in W[y] solving the divisor
+    equation; component is the divisor's component on a constant-field
+    extension and None on the other models."""
 
-    def __init__(self, model, xi, kind, data, ledger):
+    def __init__(self, model, xi, h, component, ledger):
         self.model = model
         self.xi = xi
-        self.kind = kind  # "monogenic" | "constant-ext"
-        self.data = data  # monogenic: CoordElem h; const-ext: dict
+        self.h = h
+        self.component = component
         self.ledger = ledger
 
+    def ypows(self):
+        """h in the coordinate ring: its y-power coefficients in t."""
+        ring, u_t = _model_wring(self.model)
+        return _fold(self.h, u_t, ring.E)
+
     def to_json(self):
-        if self.kind == "constant-ext":
-            h_repr = repr(self.data["h"])
+        ypows = self.ypows()
+        if self.component is not None:
+            h_repr = repr(ypows[0])
         else:
             h_repr = " + ".join(
-                f"({c})*y^{j}" if j else f"({c})"
-                for j, c in enumerate(self.data.ypows)
-                if not c.is_zero()
+                f"({c})*y^{j}" if j else f"({c})" for j, c in enumerate(ypows) if not c.is_zero()
             )
         return {
             "model": self.model.name,
@@ -358,95 +358,70 @@ class ShtukaPair:
 
 
 def _model_wring(model: CMFieldModel):
-    """The model's scalar ring W and u(t) (None for constant-ext).
+    """The model's scalar ring W and u(t), with y^E = u(t).
 
-    Built once per model, so that every shtuka function, motive matrix and
-    basis change on the model lives on one ring object: WElem equality
-    compares rings by identity.
+    The rational and constant-field models are the Kummer shape E = 1,
+    u(t) = t, so w realizes to theta.  Built once per model, so that every
+    shtuka function, motive matrix and basis change on the model lives on
+    one ring object: WElem equality compares rings by identity.
     """
     if model._wring is None:
-        if model.kind == "rational":
-            # degenerate Kummer shape: E = 1, u(t) = t, so w realizes to theta
-            ring = WRing(model.base, 1, FPoly.x(model.base))
-            u_t = WPoly(ring, [ring.zero(), ring.one()])
-        elif model.kind == "monogenic":
+        if model.kind == "monogenic":
             ring = WRing(model.base, model.E, FPoly(model.base, model.u_coeffs))
             u_t = WPoly(ring, [ring.scalar(c) for c in model.u_coeffs])
-        elif model.kind == "constant-ext":
-            ring = WRing(model.const_field, 1, FPoly.x(model.const_field))
-            u_t = None
+        elif model.kind in ("rational", "constant-ext"):
+            field = model.const_field if model.kind == "constant-ext" else model.base
+            ring = WRing(field, 1, FPoly.x(field))
+            u_t = WPoly.x(ring)
         else:
             raise UnsupportedGenus(model.kind)
         model._wring = ring, u_t
     return model._wring
 
 
+def _linear_factors(model: CMFieldModel, xi: CMDivisor, prec):
+    """prod over the points of (y - nu_xi)^(m_xi) in W[y], with nu = eps * w
+    on Kummer models and nu = w elsewhere, and the zeros it was built from."""
+    ring, _ = _model_wring(model)
+    w = ring.w()
+    h = WPoly.const(ring, ring.one(), var="y")
+    zeros = {}
+    for pt in model.points(prec):
+        m = xi[pt.label]
+        if not m:
+            continue
+        zeros[pt.label] = m
+        nu = w if pt.epsilon is None else ring.scalar(pt.epsilon) * w
+        lin = WPoly(ring, [-nu, ring.one()], var="y")
+        for _ in range(m):
+            h = h * lin
+    return h, zeros
+
+
 def solve_shtuka(model: CMFieldModel, xi: CMDivisor, prec=120):
     """Solve div(h) = Xi - I_Xi on the genus-zero model (W = 0).
 
     Every degree-zero divisor on a genus-zero curve is principal, so h is
-    the product of (y - nu_xi(y)) to the divisor multiplicities; the pole
-    ledger at infinity is attached and checked against the reduction.
+    the product of (y - nu_xi) to the divisor multiplicities; the pole
+    ledger at infinity is attached and checked against the reduction.  On
+    a constant-field extension the divisor must sit on one component.
     """
     from .cmtypes import reduction_at_infinity
 
-    info_points = model.points(prec)
     red = reduction_at_infinity(xi, model, prec)
-    if model.kind in ("rational", "monogenic"):
-        ring, u_t = _model_wring(model)
-        w = ring.w()
-        one = CoordElem(ring, [WPoly.const(ring, ring.one())], u_t)
-        h = one
-        zero_ledger = {}
-        for pt in info_points:
-            m = xi[pt.label]
-            if not m:
-                continue
-            zero_ledger[pt.label] = m
-            if model.kind == "rational":
-                # E = 1: y is t itself, so the linear factor is t - theta
-                lin = CoordElem(ring, [t_minus_theta(ring)], u_t)
-            else:
-                nu = ring.scalar(pt.epsilon) * w
-                lin = CoordElem(
-                    ring,
-                    [WPoly.const(ring, -nu), WPoly.const(ring, ring.one())],
-                    u_t,
-                )
-            for _ in range(m):
-                h = h * lin
-        pole_total = xi.degree()
-        ledger = {
-            "zeros": zero_ledger,
-            "poles": {"inf0": pole_total},
-            "reduction": {f"{k[0]}|{k[1]}": v for k, v in red.items()},
-            "matches_reduction": pole_total == sum(red.values()),
-        }
-        return ShtukaPair(model, xi, model.kind if model.kind != "rational" else "monogenic", h, ledger)
+    component = None
     if model.kind == "constant-ext":
-        supp = xi.support()
-        comps = {model.point(l, prec).component for l in supp}
+        comps = {model.point(l, prec).component for l in xi.support()}
         if len(comps) != 1:
-            raise UnsupportedGenus(
-                "constant-ext builds support a single-component divisor"
-            )
-        comp = comps.pop()
-        m = xi.degree()
-        ring, _ = _model_wring(model)
-        h = t_minus_theta(ring)
-        hp = h
-        for _ in range(m - 1):
-            hp = hp * h
-        ledger = {
-            "zeros": {supp[0]: m},
-            "poles": {"inf0": m},
-            "component": comp,
-            "twist_order": model.ell,
-            "reduction": {f"{k[0]}|{k[1]}": v for k, v in red.items()},
-            "matches_reduction": m == sum(red.values()),
-        }
-        return ShtukaPair(model, xi, "constant-ext", {"h": hp, "component": comp}, ledger)
-    raise UnsupportedGenus(model.kind)
+            raise UnsupportedGenus("constant-ext builds support a single-component divisor")
+        (component,) = comps
+    h, zeros = _linear_factors(model, xi, prec)
+    ledger = {"zeros": zeros, "poles": {"inf0": xi.degree()}}
+    if component is not None:
+        ledger.update(component=component, twist_order=model.ell)
+    ledger["reduction"] = {f"{k[0]}|{k[1]}": v for k, v in red.items()}
+    ledger["matches_reduction"] = xi.degree() == sum(red.values())
+    return ShtukaPair(model, xi, h, component, ledger)
 
 
 class DualMotive:
@@ -500,43 +475,30 @@ class DualMotive:
 def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120):
     """Expand sigma on the fixed basis of the coordinate-ring motive.
 
-    Monomial basis 1, y, .., y^(E-1) for monogenic models; the component
-    idempotent basis (ordered so the twist cycles upward from the divisor's
-    component) for constant-field extensions.
+    Monomial basis 1, y, .., y^(E-1) on Kummer-shape models, where row j of
+    Phi is y^j h; the component idempotent basis (ordered so the twist
+    cycles upward from the divisor's component) for constant-field
+    extensions.
     """
     if pair.model is not model:
         raise ModelMismatch("pair was solved on a different model")
     sigma_exponents = {pt.label: xi[pt.label] for pt in model.points(prec)}
-    if pair.kind == "monogenic":
-        ring, u_t = _model_wring(model)
-        E = model.degree
-        h = pair.data
-        phi = []
-        for j in range(E):
-            yj = CoordElem(ring, [WPoly(ring, [])] * j + [WPoly.const(ring, ring.one())], u_t)
-            img = h * yj  # basis elements are F_q-rational: untouched by the twist
-            phi.append(list(img.ypows)[:E])
-        # multiplication-by-y matrix on the same basis
-        y_action = []
-        for j in range(E):
-            row = [WPoly(ring, [])] * E
-            if j + 1 < E:
-                row[j + 1] = WPoly.const(ring, ring.one())
-            else:
-                row[0] = u_t
-            y_action.append(row)
-        basis = [f"y^{j}" for j in range(E)]
-        motive = DualMotive(model, xi, ring, phi, basis, y_action, pair, sigma_exponents)
-    elif pair.kind == "constant-ext":
+    ring, u_t = _model_wring(model)
+    one, zero = WPoly.const(ring, ring.one()), WPoly(ring, [])
+    if pair.component is None:
+        # basis elements are F_q-rational: untouched by the twist
+        phi = [pair.ypows()]
+        while len(phi) < ring.E:
+            phi.append(_times_y(phi[-1], u_t))
+        units = [[one if i == j else zero for i in range(ring.E)] for j in range(ring.E)]
+        y_action = [_times_y(row, u_t) for row in units]
+        basis = [f"y^{j}" for j in range(ring.E)]
+    else:
         # basis b_k = e_((comp-1-k) mod ell): sigma cycles b_k -> b_(k-1)
         # with the shtuka factor attached to the wrap-around, which is the
         # companion shape of the paired Drinfeld module's own motive
-        ring, _ = _model_wring(model)
         ell = model.ell
-        comp = pair.data["component"]
-        h = pair.data["h"]
-        one = WPoly.const(ring, ring.one())
-        zero = WPoly(ring, [])
+        (h,) = pair.ypows()
         phi = []
         for k in range(ell):
             row = [zero] * ell
@@ -546,54 +508,28 @@ def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120)
                 row[k - 1] = one
             phi.append(row)
         K = model.const_field
-        gen_root = min(r for r, _ in _const_roots(model))
         y_action = []
         basis = []
         for k in range(ell):
-            cidx = (comp - 1 - k) % ell
-            val = K.frob_q(gen_root, -cidx)
+            cidx = (pair.component - 1 - k) % ell
             row = [zero] * ell
-            row[k] = WPoly.const(ring, ring.scalar(val))
+            row[k] = WPoly.const(ring, ring.scalar(K.frob_q(model.const_gen, -cidx)))
             y_action.append(row)
             basis.append(f"e{cidx}")
-        motive = DualMotive(model, xi, ring, phi, basis, y_action, pair, sigma_exponents)
-    else:
-        raise UnsupportedGenus(pair.kind)
+    motive = DualMotive(model, xi, ring, phi, basis, y_action, pair, sigma_exponents)
     inv = motive.check_invariants()
     if not inv["ok"]:
         raise BasisExpansionFailure(inv["reason"])
     return motive
 
 
-def _const_roots(model):
-    from .arith import poly_roots_in_ext
-
-    return poly_roots_in_ext(
-        list(model.const_field.modulus), model.base, model.const_field, require_all=True
-    )
-
-
 def tensor_motives(m1: DualMotive, m2: DualMotive, prec=120):
-    """Tensor over the coordinate ring: shtukas multiply, CM types add."""
+    """Tensor over the coordinate ring: CM types add, and the shtuka
+    function is the one of the summed divisor."""
     if m1.model is not m2.model:
         raise ModelMismatch("tensor factors live on different models")
     xi = m1.xi + m2.xi
-    if m1.pair.kind == "monogenic":
-        h = m1.pair.data * m2.pair.data
-        led = dict(m1.pair.ledger)
-        led["zeros"] = {k: m1.xi[k] + m2.xi[k] for k in set(m1.xi.support()) | set(m2.xi.support())}
-        led["poles"] = {"inf0": xi.degree()}
-        pair = ShtukaPair(m1.model, xi, "monogenic", h, led)
-    else:
-        h = m1.pair.data["h"] * m2.pair.data["h"]
-        pair = ShtukaPair(
-            m1.model,
-            xi,
-            "constant-ext",
-            {"h": h, "component": m1.pair.data["component"]},
-            dict(m1.pair.ledger),
-        )
-    return build_motive(m1.model, pair, xi, prec)
+    return build_motive(m1.model, solve_shtuka(m1.model, xi, prec), xi, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -605,39 +541,17 @@ def sigma_ideal_check(motive: DualMotive, prec=120):
 
     On the affine coordinate ring (a PID over the exact scalar field W
     once t is eliminated), both sides are principal; equality is associate
-    equality of the generators.
+    equality of the generators.  The generator of sigma M is read off Phi:
+    its first row, or on a constant-field extension its wrap-around entry.
     """
-    model = motive.model
-    if motive.pair.kind == "monogenic":
-        ring = motive.ring
-        h_y = motive.pair.data.to_ypoly()
-        w = ring.w()
-        expected = WPoly.const(ring, ring.one(), var="y")
-        for pt in model.points(prec):
-            m = motive.xi[pt.label]
-            if not m:
-                continue
-            nu = ring.theta() if model.kind == "rational" else ring.scalar(pt.epsilon) * w
-            lin = WPoly(ring, [-nu, ring.one()], var="y")
-            for _ in range(m):
-                expected = expected * lin
-        q1, r1 = h_y.divmod(expected)
-        q2, r2 = expected.divmod(h_y) if not h_y.is_zero() else (None, None)
-        both = r1.is_zero() and r2 is not None and r2.is_zero()
-        unit = both and q1.deg == 0
-        return {"pass": bool(both and unit), "generator_degree": h_y.deg}
-    if motive.pair.kind == "constant-ext":
-        # per component: (t-theta)^m at the divisor's component, unit elsewhere
-        h = motive.pair.data["h"]
-        m = motive.xi.degree()
-        tt = t_minus_theta(motive.ring)
-        expected = WPoly.const(motive.ring, motive.ring.one())
-        for _ in range(m):
-            expected = expected * tt
-        q, r = h.divmod(expected)
-        ok = r.is_zero() and q.deg == 0 and not q.is_zero()
-        return {"pass": bool(ok), "generator_degree": h.deg}
-    raise UnsupportedGenus(motive.pair.kind)
+    _, u_t = _model_wring(motive.model)
+    phi = motive.phi
+    h_y = _unfold(phi[0] if motive.pair.component is None else [phi[0][-1]], u_t)
+    expected, _ = _linear_factors(motive.model, motive.xi, prec)
+    q1, r1 = h_y.divmod(expected)
+    q2, r2 = expected.divmod(h_y) if not h_y.is_zero() else (None, None)
+    both = r1.is_zero() and r2 is not None and r2.is_zero()
+    return {"pass": bool(both and q1.deg == 0), "generator_degree": h_y.deg}
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +645,8 @@ def eigendifferentials(motive: DualMotive, prec=120):
     model = motive.model
     pts = model.points(prec)
     out = {}
-    if motive.pair.kind == "monogenic":
+    comp0 = motive.pair.component
+    if comp0 is None:
         for pt in pts:
             nu = pt.value.with_prec_val(prec)
             row = [InfElem.const(nu.field, 1, prec, nu.e)]
@@ -739,7 +654,6 @@ def eigendifferentials(motive: DualMotive, prec=120):
                 row.append(row[-1] * nu)
             out[pt.label] = row
     else:
-        comp0 = motive.pair.data["component"]
         ell = model.ell
         for pt in pts:
             k = (comp0 - 1 - pt.component) % ell

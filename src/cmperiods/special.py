@@ -148,7 +148,7 @@ def geometric_gamma(x, N, q=None):
             rest = {k: c for k, c in xv.coeffs.items() if k > 0}
             if not rest and poly_part:
                 neg = [xv.field.neg(poly_part.get(-j * xv.e, 0)) for j in range(0, -int(v) + 1)]
-                if all((-j * xv.e) % xv.e == 0 for j in poly_part) and neg[-1] == 1:
+                if all(k % xv.e == 0 for k in poly_part) and neg[-1] == 1:
                     raise PoleArgument("gamma argument lies in -A_+")
     fld, e = xv.field, xv.e
     theta = InfElem.theta(fld, N + margin, e)

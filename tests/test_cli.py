@@ -132,3 +132,13 @@ def test_flags_only_where_read():
     assert main(["periods", "--example", "carlitz", "--model", "fixtures/kummer-t-3.json"]) == 2
     assert main(["pitilde", "--q", "2", "--trunc", "20"]) == 2
     assert main(["shtuka", "check", "--example", "carlitz", "--trunc", "20"]) == 2
+
+
+def test_const_ext_3_is_a_cli_example(tmp_path):
+    # a rank-3 pipeline: the lattice, Psi, the symbols and a Legendre certificate
+    out = tmp_path / "leg.json"
+    args = ["--example", "const-ext:3", "--q", "2", "--prec", "60", "--json", "--out", str(out)]
+    assert main(["legendre", *args, "--trunc", "12", "--height", "10", "--require-pass"]) == 0
+    assert json.loads(out.read_text())["payload"]["within_bounds"]
+    assert main(["cm", "rank", *args]) == 0
+    assert json.loads(out.read_text())["payload"]["rank_ik0"]["rank"] == 3

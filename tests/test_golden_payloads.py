@@ -25,6 +25,8 @@ INVOCATIONS = [
     "cm points --example kummer-t:3",
     "cm xi0 --example kummer-t:5 --q 5",
     "shtuka build --example kummer-t:3",
+    "shtuka build --example const-ext:2",
+    "shtuka build --example carlitz-tensor:3 --q 4",
     "shtuka check --example kummer-t:5",
     "shtuka check --example const-ext:2",
     "periods --example kummer-t:3 --q 4 --prec 60 --trunc 12",

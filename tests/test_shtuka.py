@@ -1,13 +1,18 @@
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from cmperiods.cmtypes import CMDivisor, THETA_POINT
-from cmperiods.errors import ModelMismatch
+from cmperiods.errors import ModelMismatch, UnsupportedGenus
 from cmperiods.fixtures import get_fixture
 from cmperiods.shtuka import (
-    CoordElem,
     WPoly,
+    _fold,
+    _model_wring,
+    _unfold,
     build_motive,
     eigendifferentials,
     extended_symbol,
@@ -23,12 +28,11 @@ from cmperiods.special import carlitz_period
 
 def test_solve_shtuka_carlitz():
     fx = get_fixture("carlitz-tensor:3", q=3, N=60)
-    h = fx.motive.pair.data
     # h = (t - theta)^3 in the coordinate ring (E = 1, y eliminated)
     ring = fx.motive.ring
     tt = t_minus_theta(ring)
     expect = tt * tt * tt
-    got = h.ypows[0]
+    (got,) = fx.motive.pair.ypows()
     # in the rational model w realizes theta, so compare realized Tate rows
     gt = got.realize_tate(4, 40)
     et = expect.realize_tate(4, 40)
@@ -80,15 +84,14 @@ def test_det_phi_invariant_all_fixtures():
 def test_sigma_ideal_pass_and_planted_defect():
     fx = get_fixture("kummer-t:3", q=3, N=80)
     assert sigma_ideal_check(fx.motive)["pass"]
-    # plant a defect: multiply h by the conjugate linear factor (y + w)
-    ring = fx.motive.ring
-    w = ring.w()
-    bad_factor = CoordElem(
-        ring,
-        [WPoly.const(ring, w), WPoly.const(ring, ring.one())],
-        fx.motive.pair.data.u_t,
-    )
-    fx.motive.pair.data = fx.motive.pair.data * bad_factor
+    # plant a defect in Phi's rows: multiply h by the conjugate linear
+    # factor (y + w), so that row j is y^j h (y + w)
+    ring, u_t = _model_wring(fx.model)
+    bad = _unfold(fx.motive.phi[0], u_t) * WPoly(ring, [ring.w(), ring.one()], var="y")
+    fx.motive.phi = [
+        _fold(bad * WPoly(ring, [ring.zero()] * j + [ring.one()], var="y"), u_t, ring.E)
+        for j in range(ring.E)
+    ]
     assert not sigma_ideal_check(fx.motive)["pass"]
 
 
@@ -115,6 +118,36 @@ def test_tensor_kummer_conjugate_points():
     assert inv["ok"] and inv["exponent"] == 2
     assert sigma_ideal_check(t)["pass"]
     assert hodge_pink_weights(t) == [-1, -1]
+
+
+def test_const_ext_cross_component_tensor_is_refused():
+    # xi1 + xi0 spans both components of const-ext:2, which solve_shtuka
+    # refuses; the tensor of the two one-point motives is that divisor
+    fx = get_fixture("const-ext:2", q=3, N=60)
+    (label,) = fx.xi.support()
+    other = next(p.label for p in fx.model.points(60) if p.label != label)
+    xi2 = CMDivisor({other: 1})
+    m2 = build_motive(fx.model, solve_shtuka(fx.model, xi2, 60), xi2, 60)
+    with pytest.raises(UnsupportedGenus):
+        solve_shtuka(fx.model, fx.xi + xi2, 60)
+    with pytest.raises(UnsupportedGenus):
+        tensor_motives(fx.motive, m2, 60)
+
+
+@pytest.mark.parametrize(
+    "name,q,label",
+    [("kummer-t:3", 3, "xi1"), ("kummer-t:3", 3, "xi0"), ("const-ext:2", 3, "xi1"), ("carlitz", 3, "xi_theta")],
+)
+def test_tensor_ledger_is_the_summed_divisors(name, q, label):
+    # the ledger, reduction included, is that of the summed divisor, not
+    # the first factor's
+    fx = get_fixture(name, q=q, N=60)
+    xi2 = CMDivisor({label: 1})
+    m2 = build_motive(fx.model, solve_shtuka(fx.model, xi2, 60), xi2, 60)
+    t = tensor_motives(fx.motive, m2, 60)
+    assert t.pair.ledger == solve_shtuka(fx.model, fx.xi + xi2, 60).ledger
+    assert sum(t.pair.ledger["reduction"].values()) == 2
+    assert t.pair.ledger["matches_reduction"]
 
 
 def test_hodge_pink_weights_examples():
@@ -245,27 +278,18 @@ def test_extended_symbol_bookkeeping():
 def test_t_minus_theta_power_inside_sigma_ideal():
     # (t - theta)^(max m_xi) M lies inside sigma M: the shtuka generator
     # divides (t - theta)^max in the coordinate ring
-    from cmperiods.shtuka import t_minus_theta
-
     for name, q in [("kummer-t:3", 3), ("carlitz-tensor:2", 3), ("kummer-t:5", 5)]:
         fx = get_fixture(name, q=q, N=60)
         motive = fx.motive
-        ring = motive.ring
-        h_y = motive.pair.data.to_ypoly()
+        ring, u_t = _model_wring(fx.model)
+        h_y = _unfold(motive.phi[0], u_t)
         mmax = max(motive.sigma_exponents.values())
         # rewrite (t - theta)^mmax in y through t = (y^E - u0)/u1
-        from cmperiods.shtuka import CoordElem, WPoly
-
         tt = t_minus_theta(ring)
-        pw = CoordElem(ring, [tt], motive.pair.data.u_t)
-        acc = CoordElem(
-            ring,
-            [WPoly.const(ring, ring.one())],
-            motive.pair.data.u_t,
-        )
+        acc = WPoly.const(ring, ring.one())
         for _ in range(mmax):
-            acc = acc * pw
-        target = acc.to_ypoly()
+            acc = acc * tt
+        target = _unfold([acc] + [WPoly(ring, [])] * (ring.E - 1), u_t)
         q_, r_ = target.divmod(h_y)
         assert r_.is_zero(), name
 
@@ -285,3 +309,94 @@ def test_symbol_additivity_certified():
     ratio = vals[1] * vals[2] / vals[3]
     cert = find_algebraic_relation(ratio, D=2, H=6)
     assert cert is not None and cert["degree"] == 1
+
+
+# ---------------------------------------------------------------------------
+# motives against recorded ones: Phi, the y-action, the shtuka pair, the
+# sigma-ideal check, the weights and the eigen-differentials, as text.
+# Regenerate with `PYTHONPATH=src python tests/test_shtuka.py` only for a
+# change that alters them on purpose, and say so in CHANGES.md.
+
+MOTIVE_GOLDEN = Path(__file__).parent / "golden" / "motives.json"
+
+MOTIVE_CASES = [
+    ("carlitz", 2),
+    ("carlitz", 3),
+    ("carlitz-tensor:2", 3),
+    ("carlitz-tensor:3", 4),
+    ("kummer-t:3", 3),
+    ("kummer-t:5", 5),
+    ("const-ext:2", 3),
+    ("const-ext:2", 4),
+    ("const-ext:3", 2),
+    ("const-ext:3", 3),
+]
+
+
+def _motive_record(motive, prec):
+    return {
+        "phi": [[repr(c) for c in row] for row in motive.phi],
+        "y_action": [[repr(c) for c in row] for row in motive.y_action],
+        "shtuka": motive.pair.to_json(),
+        "sigma_ideal": sigma_ideal_check(motive, prec),
+        "weights": hodge_pink_weights(motive),
+        "eigendifferentials": {
+            label: [v.to_json() for v in row]
+            for label, row in eigendifferentials(motive, prec).items()
+        },
+    }
+
+
+# the fixture's motive tensored with the motive of one more point; the
+# tensor's ledger is left out (see test_tensor_ledger_is_the_summed_divisors)
+TENSOR_CASES = [
+    ("carlitz-tensor:2", 3, "xi_theta"),
+    ("kummer-t:3", 3, "xi0"),
+    ("kummer-t:3", 3, "xi1"),
+    ("kummer-t:5", 5, "xi2"),
+    ("const-ext:2", 3, "xi1"),
+    ("const-ext:3", 2, "xi0"),
+]
+
+
+def _motive_data(name, q, prec=60):
+    return _motive_record(get_fixture(name, q=q, N=prec).motive, prec)
+
+
+def _tensor_data(name, q, label, prec=60):
+    fx = get_fixture(name, q=q, N=prec)
+    xi = CMDivisor({label: 1})
+    other = build_motive(fx.model, solve_shtuka(fx.model, xi, prec), xi, prec)
+    rec = _motive_record(tensor_motives(fx.motive, other, prec), prec)
+    del rec["shtuka"]["ledger"]
+    return rec
+
+
+def _golden_key(name, q, label=None):
+    return f"{name} q{q}" + (f" (x) {label}" if label else "")
+
+
+@pytest.fixture(scope="module")
+def motive_golden():
+    return json.loads(MOTIVE_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name,q", MOTIVE_CASES)
+def test_motive_matches_golden(name, q, motive_golden):
+    got = json.dumps(_motive_data(name, q), indent=1, sort_keys=True)
+    want = json.dumps(motive_golden[_golden_key(name, q)], indent=1, sort_keys=True)
+    assert got == want
+
+
+@pytest.mark.parametrize("name,q,label", TENSOR_CASES)
+def test_tensor_motive_matches_golden(name, q, label, motive_golden):
+    got = json.dumps(_tensor_data(name, q, label), indent=1, sort_keys=True)
+    want = json.dumps(motive_golden[_golden_key(name, q, label)], indent=1, sort_keys=True)
+    assert got == want
+
+
+if __name__ == "__main__":
+    data = {_golden_key(n, q): _motive_data(n, q) for n, q in MOTIVE_CASES}
+    data.update({_golden_key(n, q, lb): _tensor_data(n, q, lb) for n, q, lb in TENSOR_CASES})
+    MOTIVE_GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    sys.exit(0)

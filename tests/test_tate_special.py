@@ -270,6 +270,19 @@ def test_gamma_pole_rejects_negative_monic():
         geometric_gamma((minus_theta, FPoly.const(F3, 1)), 20)
 
 
+def test_gamma_pole_test_reads_ramified_exponents():
+    # x = theta^(3/2) - theta is no polynomial in theta, so not in -A_+:
+    # Gamma(x) = x^-1 (1 + x)^-1 prod over a = theta + c of (1 + x/a)^-1
+    # has valuation 3/2 + 3/2 + 3 * 1/2
+    x = InfElem(F3, 2, {-3: 1, -2: 2}, 80)
+    val, _ = geometric_gamma(x, 40)
+    assert val.val() == Fraction(9, 2)
+    # -theta stays a pole, unramified and written with e = 2
+    for e in (1, 2):
+        with pytest.raises(PoleArgument):
+            geometric_gamma(InfElem(F3, e, {-e: F3.neg(1)}, 80), 40)
+
+
 def test_gamma_blocked_vs_direct_enumeration():
     # oracle: direct product over all monic a with deg <= 2 compared with
     # the blocked recursion cut at the same degree (tail factors agree far
