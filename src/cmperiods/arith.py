@@ -110,7 +110,7 @@ class Fq:
 
     __slots__ = (
         "p", "a", "m", "n", "size", "modulus", "gen",
-        "_log", "_exp", "_vec", "_red", "_embeds", "_baby",
+        "_log", "_exp", "_vec", "_red", "_embeds", "_baby", "_add", "_neg",
     )
 
     def __init__(self, p, a, m, modulus):
@@ -125,6 +125,8 @@ class Fq:
         self._log = None
         self._exp = None
         self._baby = None
+        self._add = None
+        self._neg = None
         # digit vectors of x^(n+k) mod modulus for k = 0..n-1; a product in
         # a field of degree 1 has no digit to reduce
         self._red = []
@@ -199,6 +201,21 @@ class Fq:
             self._exp[i] = acc
             self._log[acc] = i
             acc = self._raw_mul(acc, self.gen)
+        if self.p > 2 and self.n > 1 and self.size <= 256:
+            # digitwise sums, flat at x * size + y, built one more
+            # significant digit per pass from the table below it
+            p = self.p
+            add = [0]
+            m = 1
+            for _ in range(self.n):
+                add = [
+                    (dx + dy) % p * m + s
+                    for dx in range(p) for xl in range(m)
+                    for dy in range(p) for s in add[xl * m:(xl + 1) * m]
+                ]
+                m *= p
+            self._add = add
+            self._neg = [self._encode([-d % p for d in u]) for u in self._vec]
 
     def _pow_raw(self, x, e):
         r = 1
@@ -226,6 +243,8 @@ class Fq:
             return x ^ y
         if self.n == 1:
             return (x + y) % self.p
+        if self._add is not None:
+            return self._add[x * self.size + y]
         if self._vec is not None:
             u, v = self._vec[x], self._vec[y]
         else:
@@ -237,6 +256,8 @@ class Fq:
             return x
         if self.n == 1:
             return -x % self.p
+        if self._neg is not None:
+            return self._neg[x]
         u = self._vec[x] if self._vec is not None else self._decode(x)
         return self._encode([(-d) % self.p for d in u])
 

@@ -219,6 +219,8 @@ class InfElem:
         f = self.field
         if not c:
             return InfElem(f, self.e, {}, self.prec + k, self.var)
+        if c == 1:
+            return InfElem(f, self.e, {kk + k: v for kk, v in self.coeffs.items()}, self.prec + k, self.var)
         return InfElem(f, self.e, {kk + k: f.mul(c, v) for kk, v in self.coeffs.items()}, self.prec + k, self.var)
 
     def inverse(self):

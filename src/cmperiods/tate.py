@@ -215,12 +215,20 @@ class TateSeries:
         if self.decay is None:
             raise NoDecay("series carries no decay descriptor")
         e = self.e
-        tail = self.decay.tail_min(self.T)
-        acc = None
+        f = self.field
+        # known below every shifted coefficient's precision and the tail
+        prec = min(min(c.prec - e * i for i, c in enumerate(self.coeffs)), int(self.decay.tail_min(self.T) * e))
+        out = {}
         for i, c in enumerate(self.coeffs):
-            term = c.mono_mul(1, -e * i)
-            acc = term if acc is None else acc + term
-        return acc.truncate(int(tail * e))
+            for k, v in c.coeffs.items():
+                k -= e * i
+                if k < prec:
+                    s = f.add(out.get(k, 0), v)
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return InfElem(f, e, out, prec, self.coeffs[0].var)
 
     def residual_val(self):
         return min(c.residual_val() for c in self.coeffs)

@@ -119,16 +119,21 @@ class TModule:
         """exp(z), summing until two consecutive terms fall below z's precision."""
         if z.is_zero():
             return z
-        target_val = z.prec_val
+        return self._exp_sum(lambda i, E: E * z.frobenius(i), z.prec_val)
+
+    def _exp_sum(self, term, target_val):
+        """Sum of term(i, E_i) over the nonzero E_i: the exponential's
+        stopping rule.  The sum stops after two consecutive terms past the
+        first fall below target_val, once i has passed the rank."""
         acc = None
         i = 0
         settled = 0
         while True:
             E = self.exp_coeffs(i)[i]
             if not E.is_zero():
-                term = E * z.frobenius(i)
-                acc = term if acc is None else acc + term
-                if i > 0 and term.residual_val() >= target_val:
+                t = term(i, E)
+                acc = t if acc is None else acc + t
+                if i > 0 and t.residual_val() >= target_val:
                     settled += 1
                 else:
                     settled = 0
@@ -358,23 +363,37 @@ def agf(module: TModule, lam: InfElem, j: int, T: int):
     """The series sum_n m(exp(theta^(-n-1) lam)) t^n for the functional
     m = tau^j, with its derived geometric decay descriptor.
 
-    It is the j-th twist of the tau^0 series G: tau^j raises each
-    exponential to the q^j-th power, a coefficientwise Frobenius, and
-    the twist scales G's descriptor by q^j.
+    Its tau^0 series G has t^n coefficient exp(z_n), z_n = lam theta^(-n-1)
+    = z_0 u^(n e): theta^(-1) is one exact monomial, so the chain shifts
+    z_0 and its precision alike.  Hence each term E_i z_n^(q^i) of the
+    exponential is alpha_i = E_i z_0^(q^i), formed once per call, shifted
+    by the monomial u^(n e q^i), precision included, and the coefficient
+    is sum_i alpha_i theta^(-n q^i), summed under exp_eval's stopping
+    rule: exp_eval(z_n) digit for digit.
+
+    The series is the j-th twist of G: tau^j raises each exponential to
+    the q^j-th power, a coefficientwise Frobenius, and the twist scales
+    G's descriptor by q^j.
     """
     fld = module.field.compositum(lam.field)
     e = lcm(module.e, lam.e)
     if lam.is_zero():
         return TateSeries([InfElem(fld, e, {}, lam.prec)] * T, Decay("linear", 0, 1)).twist(j)
     theta_inv = InfElem.theta(fld, module.coeffs[0].prec // module.e, e).inverse()
-    z = lam.lift(fld, e)
+    z0 = lam.lift(fld, e) * theta_inv
+    alphas = {}
     # declared bound: beyond the chain entry the exponential preserves
     # valuation, val(a_n) = val(lam) + n + 1
     A = lam.val() + 1
     coeffs = []
     for n in range(T):
-        z = z * theta_inv
-        coeffs.append(module.exp_eval(z))
+
+        def shifted(i, E):
+            if i not in alphas:
+                alphas[i] = E * z0.frobenius(i)
+            return alphas[i].mono_mul(1, n * e * module.q**i)
+
+        coeffs.append(module._exp_sum(shifted, z0.prec_val + n))
         A = min(A, coeffs[-1].residual_val() - n)
     return TateSeries(coeffs, Decay("linear", A, 1)).twist(j)
 

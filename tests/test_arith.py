@@ -103,6 +103,24 @@ def test_prime_field_add_neg_match_digit_vectors():
                 assert F.add(x, y) == F._encode([(u + v) % p for u, v in zip(F._decode(x), F._decode(y))])
 
 
+def test_small_extension_add_neg_tables_match_digit_vectors():
+    # odd-characteristic extension fields of at most 256 elements add and
+    # negate by table; the digit-vector sum is the reference, on every pair
+    # of F_9, F_25 and F_27 and on sampled pairs of F_243
+    rng = random.Random(243)
+    for p, n in [(3, 2), (5, 2), (3, 3), (3, 5)]:
+        F = Fq.get(p, n, 1)
+        assert F._add is not None and F._neg is not None
+        if F.size <= 27:
+            pairs = [(x, y) for x in range(F.size) for y in range(F.size)]
+        else:
+            pairs = [(rng.randrange(F.size), rng.randrange(F.size)) for _ in range(5000)]
+        for x, y in pairs:
+            assert F.add(x, y) == F._encode([(u + v) % p for u, v in zip(F._decode(x), F._decode(y))])
+        for x in range(F.size):
+            assert F.neg(x) == F._encode([(-d) % p for d in F._decode(x)])
+
+
 def test_frobenius_identity_and_inverse():
     # [spec example] x = 1 is fixed by every Frobenius power
     F = Fq.get(3, 1, 2)

@@ -91,6 +91,33 @@ def test_eval_theta_geometric():
     assert ((val - expect)).residual_val() >= 25
 
 
+@pytest.mark.parametrize("p, n, e, B, span", [(3, 1, 1, 2, 60), (3, 2, 2, 2, 90), (2, 1, 3, 5, 40), (5, 1, 1, 3, 25)])
+def test_eval_theta_matches_pairwise_sums(p, n, e, B, span):
+    # the earlier evaluation adds one shifted coefficient at a time, each
+    # sum keeping the smaller precision, and truncates to the tail bound;
+    # coefficients of mixed precision, one of them zero, some sums that
+    # cancel, with the tail bound above and below the smallest precision
+    F = Fq.get(p, n, 1)
+    rng = random.Random(p * 100 + e)
+    T = 14
+    coeffs = []
+    for i in range(T):
+        lo = B * i * e
+        prec = lo + rng.randrange(span * e // 2, span * e)
+        if i == 5:
+            coeffs.append(InfElem(F, e, {}, prec))
+            continue
+        coeffs.append(InfElem(F, e, {k: rng.randrange(F.size) for k in range(lo, prec) if rng.random() < 0.6}, prec))
+    for A in (0, -8, 30):
+        f = TateSeries(coeffs, Decay("linear", A, B))
+        acc = None
+        for i, c in enumerate(f.coeffs):
+            term = c.mono_mul(1, -e * i)
+            acc = term if acc is None else acc + term
+        ref = acc.truncate(int(f.decay.tail_min(T) * e))
+        assert f.eval_theta().to_json() == ref.to_json()
+
+
 def test_eval_theta_requires_decay():
     f = TateSeries([InfElem.const(F3, 1, 20)] * 4)
     with pytest.raises(NoDecay):

@@ -10,7 +10,7 @@ from cmperiods.infinity import InfElem
 from cmperiods.relhunt import find_linear_relations
 from cmperiods.special import carlitz_period, omega_series
 from cmperiods.tate import Decay, TateMatrix, TateSeries, check_difference_eq
-from cmperiods.tmodule import TModule, agf, build_psi, de_rham_pairing, quasi_period_matrix
+from cmperiods.tmodule import TModule, agf, build_psi, de_rham_pairing, quasi_period_matrix, skew_mul
 
 F3 = Fq.get(3, 1, 1)
 
@@ -336,13 +336,64 @@ def _agf_per_j(tm, lam, j, T):
     return TateSeries(coeffs, Decay("linear", A, B))
 
 
+def _kummer5_module(N):
+    """The rank-4 module rho_t = -(rho_y)^4, rho_y = w + tau, of kummer-t:5
+    (w^4 = -theta), with a few nonzero points of mixed valuation: its
+    lattice search over 5^4 torsion points is too slow for this suite."""
+    ring = get_fixture("kummer-t:5", N=N).motive.ring
+    w, one = ring.w().realize(N), ring.one().realize(N)
+    rho = [w, one]
+    for _ in range(3):
+        rho = skew_mul(rho, [w, one], 5)
+    tm = TModule([-c for c in rho], cm_action=[w, one])
+    rng = random.Random(5)
+    noise = InfElem(w.field, w.e, {k: rng.randrange(w.field.size) for k in range(-8, 4 * N)}, 4 * N)
+    return tm, [w, w * w * w + one, noise]
+
+
 @pytest.mark.parametrize(
-    "name, q", [("carlitz", 2), ("carlitz", 3), ("carlitz", 4), ("kummer-t:3", 3), ("const-ext:2", 3), ("const-ext:2", 4)]
+    "name, q",
+    [
+        ("carlitz", 2), ("carlitz", 3), ("carlitz", 4), ("kummer-t:3", 3), ("const-ext:2", 3), ("const-ext:2", 4),
+        ("const-ext:3", 2), ("kummer-t:5", 5),
+    ],
 )
 def test_agf_twists_match_the_per_j_reference(name, q):
-    # every tau^j column is the j-th twist of the one tau^0 series
+    # every tau^j column is the j-th twist of the one tau^0 series, and
+    # the tau^0 series, built from one product E_i lam^(q^i) per i, is the
+    # per-n exponential digit for digit
     N, T = 60, 12
-    tm = get_fixture(name, q=q, N=N).tmodule
-    for lam in tm.period_lattice().vectors:
+    if name == "kummer-t:5":
+        tm, lams = _kummer5_module(N)
+    else:
+        tm = get_fixture(name, q=q, N=N).tmodule
+        lams = tm.period_lattice().vectors
+    for lam in lams:
         for j in range(tm.rank + 1):
             assert agf(tm, lam, j, T).to_json() == _agf_per_j(tm, lam, j, T).to_json()
+
+
+def _sum_shifted(series):
+    """The earlier evaluation at theta, kept as reference: one sum of two
+    InfElems per shifted coefficient, truncated to the tail bound."""
+    e = series.e
+    acc = None
+    for i, c in enumerate(series.coeffs):
+        term = c.mono_mul(1, -e * i)
+        acc = term if acc is None else acc + term
+    return acc.truncate(int(series.decay.tail_min(series.T) * e))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_de_rham_pairing_matches_the_per_n_reference(q):
+    # [delta_1, pi] at its default T is the per-n series summed at theta
+    N = 200
+    tm = carlitz(q, N)
+    pi = carlitz_period(q, N)
+    T = int(pi.prec_val // (q - 1)) + 8
+    got = de_rham_pairing(tm, 1, pi)
+    assert got.to_json() == _sum_shifted(_agf_per_j(tm, pi, 1, T)).to_json()
+    zero = InfElem.zero(pi.field, N, pi.e)
+    assert de_rham_pairing(tm, 1, zero).to_json() == zero.to_json()
+    G = agf(tm, zero, 1, 8)
+    assert all(c.is_zero() and c.prec == zero.prec * q for c in G.coeffs)
