@@ -38,11 +38,12 @@ class Fixture:
     notes: dict = field(default_factory=dict)
 
     def psi(self, T, N):
-        """The paired trivialization for fixtures carrying a closed form."""
+        """The paired trivialization for fixtures carrying a closed form:
+        Omega^n for the Carlitz tensor power C^(x)n, built in one pass from
+        its product formula by omega_series, with its step-n decay."""
         if self.psi_power is None:
             raise ConsistencyFailure("fixture has no closed-form trivialization")
-        om = omega_series(self.model.q, T, N)
-        return TateMatrix([[om**self.psi_power]])
+        return TateMatrix([[omega_series(self.model.q, T, N, self.psi_power)]])
 
     def basis_change_tate(self, T, prec):
         """(U_minus as t-series, U^(-1)(theta)): what build_psi reads."""

@@ -10,6 +10,7 @@ that convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .arith import FPoly, Fq, q_split
 from .errors import PoleArgument
@@ -27,34 +28,43 @@ def _theta_root_setup(q, prec_val):
     return inf_nth_root(minus_theta, q - 1)
 
 
-def omega_series(q, T, N):
-    """Tate series of the Carlitz-period generator at truncation T.
+def omega_series(q, T, N, n=1):
+    """Tate series of Omega^n, the n-th power of the Carlitz-period
+    generator, at truncation T.
 
-    Product over i >= 1 of (1 - t/theta^(q^i)) times the canonical
-    (-theta)^(-q/(q-1)) prefactor.  Enough factors are taken that every
-    recorded coefficient is exact modulo the declared precision; the decay
-    descriptor val(a_i) >= (q^(i+1) - 2q)/(q-1) is attached.
+    Product over i >= 1 of (1 - t/theta^(q^i))^n times the canonical
+    (-theta)^(-nq/(q-1)) prefactor; factor i adds the binomial terms
+    C(n, k)(-1)^k t^k theta^(-k q^i) that are nonzero mod p.  Enough
+    factors are taken that every recorded coefficient is exact modulo the
+    declared precision.  The t^k coefficient is least when the k factors
+    of t come from the smallest i, n at a time, so the attached decay is
+    Omega's times n with step n:
+    val(a_k) >= n (q^(k // n + 1) - 2q)/(q-1).
     """
     # coefficient precision generous enough to survive one inverse twist
     prec_val = q * (N + T) + 4 * q
     root = _theta_root_setup(q, prec_val)
     fld, e = root.field, root.e
-    prefactor = root ** (-q)
+    prefactor = root ** (-q * n)
     # number of product factors: factor i shifts coefficients by q^i
     imax = 1
     while q ** (imax + 1) <= prec_val + q:
         imax += 1
+    binomials = [(k, fld.scalar((-1) ** k * comb(n, k))) for k in range(1, n + 1)]
+    binomials = [(k, c) for k, c in binomials if c]
     one = InfElem.const(fld, 1, prec_val, e)
     zero = InfElem.zero(fld, prec_val, e)
     coeffs = [one] + [zero] * (T - 1)
     for i in range(1, imax + 1):
-        mono = InfElem.monomial(fld, fld.neg(1), q**i * e, prec_val * e, e)
+        monos = [(k, InfElem.monomial(fld, c, k * q**i * e, prec_val * e, e)) for k, c in binomials]
         new = list(coeffs)
         for j in range(T - 1, 0, -1):
-            new[j] = coeffs[j] + coeffs[j - 1] * mono
+            for k, mono in monos:
+                if k <= j:
+                    new[j] = new[j] + coeffs[j - k] * mono
         coeffs = new
     coeffs = [c * prefactor for c in coeffs]
-    decay = Decay("qpow", Fraction(-2 * q, q - 1), Fraction(q, q - 1), q)
+    decay = Decay("qpow", Fraction(-2 * n * q, q - 1), Fraction(n * q, q - 1), q, n)
     return TateSeries(coeffs, decay)
 
 

@@ -171,19 +171,6 @@ class TateSeries:
     def scale(self, x: InfElem):
         return TateSeries([c * x for c in self.coeffs], self.decay)
 
-    def __pow__(self, n):
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        acc = None
-        base = self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
-
     def twist(self, n):
         """Coefficientwise q^n-power Frobenius (t is fixed)."""
         q = self.field.q

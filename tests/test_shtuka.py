@@ -263,6 +263,25 @@ def test_tensor_symbols_hold_their_stated_precision():
     assert (short - long).residual_val() >= short.prec_val
 
 
+@pytest.mark.parametrize("q, N, T", [(3, 200, 8), (2, 60, 12), (4, 200, 8)])
+def test_short_truncation_tensor_cube_states_true_digits(q, N, T):
+    # Omega^3 as a square times Omega stated no digit here (q 3 raised
+    # DivisionByApparentZero, q 2 stated -2, q 4 stated 0); the step-3
+    # descriptor of the product formula bounds the tail at these T
+    fx = get_fixture("carlitz-tensor:3", q=q, N=N)
+    (short,) = period_symbols(fx.motive, fx.psi(T=T, N=N), prec=N)["values"].values()
+    (long,) = period_symbols(fx.motive, fx.psi(T=64, N=N), prec=N)["values"].values()
+    assert short.prec_val > 0
+    assert (short - long).residual_val() >= short.prec_val
+    pi = carlitz_period(q, N)
+    ratio = short * (pi**3).inverse()
+    c = ratio.lead_coeff()
+    assert ratio.field.in_base_q(c)
+    assert ratio.prec_val > 0
+    diff = ratio - type(short).const(ratio.field, c, int(ratio.prec_val), ratio.e)
+    assert diff.is_zero()
+
+
 def test_extended_symbol_bookkeeping():
     from fractions import Fraction
 

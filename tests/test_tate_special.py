@@ -198,11 +198,46 @@ def test_mixed_decay_products_randomized():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3])
 def test_omega_powers_respect_their_decay(q, n):
-    # at step 1 the product of two qpow bounds claimed A1 + A2 + b + b*q^k
-    # at index k, above what the terms a_i b_(k-i) reach for 0 < i < k
-    power = omega_series(q, 8, 60) ** n
+    # Omega^n declares Omega's descriptor times n with step n: the t^k
+    # coefficient takes its factors of t from the smallest i, n at a time
+    power = omega_series(q, 8, 60, n)
     assert power.check_decay()
     assert power.decay.step == n
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N, T", [(60, 12), (300, 24)])
+def test_omega_power_against_series_products(q, n, N, T):
+    # the product formula against Omega * Omega (* Omega) formed by plain
+    # series products: same digits below both precisions, and no index
+    # states less precision than the product does
+    om = omega_series(q, T, N)
+    ref = om
+    for _ in range(n - 1):
+        ref = ref * om
+    power = omega_series(q, T, N, n)
+    assert power.check_decay()
+    assert power.T == ref.T
+    for k, (a, b) in enumerate(zip(power.coeffs, ref.coeffs)):
+        assert (a - b).is_zero(), k
+        assert a.prec >= b.prec, k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_omega_power_functional_equation(q, n):
+    # (Omega^n)^(-1) = (t - theta)^n Omega^n, at the threshold `omega` uses
+    N, T = 60, 12
+    power = omega_series(q, T, N, n)
+    one = InfElem.const(power.field, 1, N * q, power.e)
+    theta = InfElem.theta(power.field, N * q, power.e)
+    t_minus_theta = TateSeries.poly([-theta, one], T)
+    phi = t_minus_theta
+    for _ in range(n - 1):
+        phi = phi * t_minus_theta
+    rep = check_difference_eq(TateMatrix([[phi]]), TateMatrix([[power]]), threshold=N - 10)
+    assert rep["pass"], rep["min_residual"]
 
 
 def test_qpow_product_rule_against_every_split():
