@@ -1,8 +1,13 @@
 """The benchmark in perfbench/ traces program functions by name; every
 name it lists must still exist, or its traced runs fail."""
 
+import random
 import sys
 from pathlib import Path
+
+from cmperiods import relhunt
+from cmperiods.arith import Fq
+from cmperiods.infinity import InfElem, inf_nth_root
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -15,3 +20,32 @@ def test_traced_names_resolve():
         tracer.install()
     finally:
         assert tracer.uninstall()
+
+
+def test_traced_relation_search_matches_untraced():
+    # the tracer binds find_linear_relations' arguments by name, as the
+    # relhunt-planted workload passes them
+    fld = Fq.get(3, 2, 1)
+    rng = random.Random(7)
+    v, w = (InfElem(fld, 1, {x: rng.randrange(fld.size) for x in range(-3, 80)}, 80) for _ in range(2))
+    values = [v, w, v.mono_mul(2, -2) + w]
+    root = inf_nth_root(InfElem.theta(fld, 120).scale(fld.neg(1)), 2)
+
+    def calls():
+        return [
+            relhunt.find_linear_relations(values, 3, 15),
+            relhunt.find_linear_relations(values, H=3, margin=15),
+            relhunt.find_linear_relations(values, 3),
+            relhunt.find_algebraic_relation(root, 3, 6, 20),
+        ]
+
+    want = calls()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        got = calls()
+    finally:
+        assert tracer.uninstall()
+    assert got == want and want[0] and want[3] is not None
+    assert tracer.units["relhunt.find_linear_relations.columns"] > 0
+    assert {"relhunt.find_linear_relations", "relhunt.find_algebraic_relation"} <= set(tracer.names)
