@@ -154,9 +154,8 @@ def _relations(values, H, margin):
 
     Sets up the F_p-linear system matching coefficients of
     sum c_i(theta) v_i through the precision window, with the unknowns
-    the F_q-digits of each c_i of degree at most H.  Kernel vectors come
-    in ascending lead, so the degree of their top value never falls;
-    each is re-verified by direct substitution before it is yielded.
+    the F_q-digits of each c_i of degree at most H.  Kernel vectors are
+    re-verified by direct substitution before being yielded.
     """
     values, fld, e, kmin, kmax, basis, nrows, ncols = _system(values, H)
     if fld.p > KERNEL_P_MAX:
@@ -165,8 +164,8 @@ def _relations(values, H, margin):
         raise InsufficientPrecision(
             f"search space {ncols} exceeds precision rows {nrows} - margin {margin}"
         )
-    # one digit string over kmin .. kmax + H*e per (i, eps): the column of
-    # theta^h eps v_i is the string read h*e exponents higher
+    # the column of theta^h eps v_i is the digit string of eps v_i read
+    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps)
     n = fld.n
     top = kmax + H * e
     strings = []
