@@ -498,29 +498,28 @@ def _trim_fq(coeffs):
 
 
 class FPoly:
-    """Univariate polynomial over an Fq with a distinguished variable tag.
+    """Univariate polynomial over an Fq, printed in theta.
 
     Canonical form: no trailing zero coefficients.
     """
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Fq, coeffs, var="theta"):
+    def __init__(self, field: Fq, coeffs):
         self.field = field
         self.coeffs = tuple(_trim_fq(list(coeffs)))
-        self.var = var
 
     @staticmethod
-    def zero(field, var="theta"):
-        return FPoly(field, (), var)
+    def zero(field):
+        return FPoly(field, ())
 
     @staticmethod
-    def const(field, c, var="theta"):
-        return FPoly(field, (c,), var)
+    def const(field, c):
+        return FPoly(field, (c,))
 
     @staticmethod
-    def x(field, var="theta"):
-        return FPoly(field, (0, 1), var)
+    def x(field):
+        return FPoly(field, (0, 1))
 
     @property
     def deg(self):
@@ -540,7 +539,7 @@ class FPoly:
         return hash((id(self.field), self.coeffs))
 
     def _check(self, other):
-        if self.field is not other.field or self.var != other.var:
+        if self.field is not other.field:
             raise ValueError("mixed polynomial rings")
 
     def __add__(self, other):
@@ -549,11 +548,11 @@ class FPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return FPoly(f, [f.add(x, y) for x, y in zip(a, b)], self.var)
+        return FPoly(f, [f.add(x, y) for x, y in zip(a, b)])
 
     def __neg__(self):
         f = self.field
-        return FPoly(f, [f.neg(c) for c in self.coeffs], self.var)
+        return FPoly(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -562,18 +561,18 @@ class FPoly:
         self._check(other)
         f = self.field
         if self.is_zero() or other.is_zero():
-            return FPoly.zero(f, self.var)
+            return FPoly.zero(f)
         add, mul = f.add, f.mul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, cu in enumerate(self.coeffs):
             if cu:
                 for j, cv in enumerate(other.coeffs):
                     out[i + j] = add(out[i + j], mul(cu, cv))
-        return FPoly(f, out, self.var)
+        return FPoly(f, out)
 
     def scale(self, c):
         f = self.field
-        return FPoly(f, [f.mul(c, x) for x in self.coeffs], self.var)
+        return FPoly(f, [f.mul(c, x) for x in self.coeffs])
 
     def divmod(self, other):
         self._check(other)
@@ -592,7 +591,7 @@ class FPoly:
                 neg = f.neg(quot[k])
                 for i in range(dv):
                     rem[k + i] = add(rem[k + i], mul(neg, g[i]))
-        return FPoly(f, quot, self.var), FPoly(f, rem[:dv], self.var)
+        return FPoly(f, quot), FPoly(f, rem[:dv])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -604,7 +603,7 @@ class FPoly:
         """self^e mod `mod`, by repeated squaring from the lowest bit, with
         no product by one and no square past the top bit."""
         if not e:
-            return FPoly.const(self.field, 1, self.var) % mod
+            return FPoly.const(self.field, 1) % mod
         r, b = None, self % mod
         while True:
             if e & 1:
@@ -638,9 +637,9 @@ class FPoly:
             if k == 0:
                 parts.append(f"{c}")
             elif k == 1:
-                parts.append(f"{c}*{self.var}" if c != 1 else self.var)
+                parts.append(f"{c}*theta" if c != 1 else "theta")
             else:
-                parts.append(f"{c}*{self.var}^{k}" if c != 1 else f"{self.var}^{k}")
+                parts.append(f"{c}*theta^{k}" if c != 1 else f"theta^{k}")
         return " + ".join(parts)
 
 

@@ -15,7 +15,8 @@ sets with larger real subfields can be exercised directly.
 The Galois action is model-supplied (Kummer zeta-twists, constant
 Frobenius); generic splitting-field computation is rejected with a clear
 error.  Points are labeled by sorting leading coefficients through their
-discrete-log index, so labels are stable across runs.
+discrete-log index, so labels are stable across runs and do not depend
+on the precision of the point values.
 """
 
 from __future__ import annotations
@@ -157,21 +158,19 @@ class CMFieldModel:
             name=obj.get("name"),
         )
 
-    # -- minimal polynomial over a chosen variable ---------------------------
+    # -- minimal polynomial --------------------------------------------------
 
-    def min_poly(self, prec, var="theta"):
-        """m(var, y) as a coefficient list of InfElems in y: over
-        F_q((1/theta)) for the points, over F_q((1/t)) for validation."""
+    def min_poly(self, prec):
+        """m(x, y) as a coefficient list of InfElems in y.  Read with x = theta
+        it gives the points; validation reads the same list over
+        F_q((1/t)), x = t."""
         if self.kind == "monogenic":
-            u = InfElem.from_poly(self.base, self.u_coeffs, prec, var=var)
-            zero = InfElem.zero(self.base, prec, var=var)
-            one = InfElem.const(self.base, 1, prec, var=var)
+            u = InfElem.from_poly(self.base, self.u_coeffs, prec)
+            zero = InfElem.zero(self.base, prec)
+            one = InfElem.const(self.base, 1, prec)
             return [-u] + [zero] * (self.E - 1) + [one]
         if self.kind == "constant-ext":
-            return [
-                InfElem.const(self.base, c, prec, var=var)
-                for c in self.const_field.modulus
-            ]
+            return [InfElem.const(self.base, c, prec) for c in self.const_field.modulus]
         raise ValueError("rational model has no minimal polynomial")
 
     # -- Galois data ---------------------------------------------------------
@@ -213,7 +212,16 @@ class CMFieldModel:
 
     # -- J_K -----------------------------------------------------------------
 
-    def points(self, prec=120):
+    def points(self, prec=None):
+        """The points above theta, their values known to prec.  Labels,
+        fibers, components and epsilons do not depend on prec, so a caller
+        that reads only those passes no prec: it gets the points already
+        computed (at the first precision asked for), or points at 120 when
+        there are none yet."""
+        if prec is None:
+            if self._points:
+                return next(iter(self._points.values()))
+            prec = 120
         cached = self._points.get(prec)
         if cached is not None:
             return cached
@@ -269,21 +277,21 @@ class CMFieldModel:
             for i, (_, val, comp) in enumerate(decorated)
         ]
 
-    def point(self, label, prec=120):
-        for pt in self.points(prec):
+    def point(self, label):
+        for pt in self.points():
             if pt.label == label:
                 return pt
         raise KeyError(label)
 
-    def fibers(self, prec=120):
+    def fibers(self):
         out = {}
-        for pt in self.points(prec):
+        for pt in self.points():
             out.setdefault(pt.fiber, []).append(pt.label)
         return {k: sorted(v) for k, v in out.items()}
 
     # -- infinite places -----------------------------------------------------
 
-    def infinite_places(self, prec=120):
+    def infinite_places(self):
         """(place label, residue datum) reached by each point's embedding.
 
         The residue datum is the reduction of the embedded residue
@@ -291,7 +299,7 @@ class CMFieldModel:
         closed place.
         """
         out = {}
-        for pt in self.points(prec):
+        for pt in self.points():
             if self.kind == "constant-ext":
                 # residue field F_{q^ell}; generator reduces to the component value
                 datum = pt.value.lead_coeff()
@@ -321,7 +329,7 @@ def validate_cm_field(model: CMFieldModel, prec=80):
     }
     if model.kind == "rational":
         return report
-    roots = newton_roots(model.min_poly(prec, var="t"))
+    roots = newton_roots(model.min_poly(prec))
     classes = _places_from_roots([r for r, m in roots for _ in range(m)])
     report["places_above_infinity"] = len(classes)
     report["place_data"] = [
@@ -350,7 +358,7 @@ def _places_from_roots(roots):
             twisted = {k: field.frob(c, j) for k, c in r.coeffs.items()}
             for z in zetas:
                 img = {k: field.mul(c, field.pow(z, k)) for k, c in twisted.items()}
-                images.append(InfElem(field, e, img, r.prec, r.var))
+                images.append(InfElem(field, e, img, r.prec))
         for k, other in enumerate(roots):
             if used[k]:
                 continue
@@ -416,7 +424,7 @@ def decompose_cm_type(div: CMDivisor, points):
     return out
 
 
-def inflate(div: CMDivisor, model: CMFieldModel, prec=120):
+def inflate(div: CMDivisor, model: CMFieldModel):
     """Pull back a divisor on the theta-line to the model (K over F_q(t)).
 
     Pull-back along an unramified fiber counts each point once; the
@@ -425,18 +433,18 @@ def inflate(div: CMDivisor, model: CMFieldModel, prec=120):
     if model.kind == "monogenic" and model.E % model.p == 0:
         raise RamifiedAboveTheta("theta ramifies in this presentation")
     n = div[THETA_POINT]
-    return CMDivisor({pt.label: n for pt in model.points(prec)})
+    return CMDivisor({pt.label: n for pt in model.points()})
 
 
-def restrict(div: CMDivisor, model: CMFieldModel, prec=120):
+def restrict(div: CMDivisor, model: CMFieldModel):
     """Push a divisor on the model forward to the theta-line."""
-    total = sum(div[pt.label] for pt in model.points(prec))
+    total = sum(div[pt.label] for pt in model.points())
     return CMDivisor({THETA_POINT: total})
 
 
-def reduction_at_infinity(div: CMDivisor, model: CMFieldModel, prec=120):
+def reduction_at_infinity(div: CMDivisor, model: CMFieldModel):
     """The divisor I_Xi of reductions at infinity: (place, datum) -> mult."""
-    places = model.infinite_places(prec)
+    places = model.infinite_places()
     out = {}
     for label, mult in div.mults.items():
         key = places[label]
@@ -487,8 +495,8 @@ def galois_rank(div: CMDivisor, model: CMFieldModel):
     return _int_matrix_rank(rows)
 
 
-def all_cm_types(model: CMFieldModel, prec=120):
-    fibers = model.fibers(prec)
+def all_cm_types(model: CMFieldModel):
+    fibers = model.fibers()
     choices = [[None]]
     for f in sorted(fibers):
         choices = [c + [l] for c in choices for l in fibers[f]]

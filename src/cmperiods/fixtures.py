@@ -109,12 +109,13 @@ def check_intertwine(U, U_minus, phi_rho, phi_s):
     return True
 
 
-def _check_twist_pair(U, U_minus, prec=60, T=4):
-    """realize(U_minus) must equal the inverse Frobenius twist of realize(U)."""
+def _check_twist_pair(U, U_minus):
+    """realize(U_minus) must equal the inverse Frobenius twist of realize(U),
+    compared on four t-coefficients at precision 60."""
     for ru, rm in zip(U, U_minus):
         for cu, cm in zip(ru, rm):
-            tu = cu.realize_tate(T, prec)
-            tm = cm.realize_tate(T, prec)
+            tu = cu.realize_tate(4, 60)
+            tm = cm.realize_tate(4, 60)
             tw = tu.twist(-1)
             for a, b in zip(tw.coeffs, tm.coeffs):
                 if not (a - b).is_zero():
@@ -140,8 +141,7 @@ def _check_inverse_pair(U, U_inv, ring):
 def carlitz_tensor_fixture(n, q, N=120):
     model = CMFieldModel("rational", q, name=f"carlitz-tensor:{n}" if n > 1 else "carlitz")
     xi = CMDivisor({THETA_POINT: n})
-    pair = solve_shtuka(model, xi, prec=N)
-    motive = build_motive(model, pair, xi, prec=N)
+    motive = build_motive(model, solve_shtuka(model, xi), xi)
     tmod = None
     if n == 1:
         fld = model.base
@@ -166,8 +166,7 @@ def kummer_fixture(q, N=200):
     pts = model.points(N)
     anchor = next(p for p in pts if p.epsilon == 1)
     xi = CMDivisor({anchor.label: 1})
-    pair = solve_shtuka(model, xi, prec=N)
-    motive = build_motive(model, pair, xi, prec=N)
+    motive = build_motive(model, solve_shtuka(model, xi), xi)
     fixture = Fixture(name=model.name, model=model, xi=xi, motive=motive)
     if q == 3:
         ring = motive.ring
@@ -198,8 +197,7 @@ def const_ext_fixture(q, ell=2, N=200):
     pts = model.points(N)
     anchor = next(p for p in pts if p.component == 0)
     xi = CMDivisor({anchor.label: 1})
-    pair = solve_shtuka(model, xi, prec=N)
-    motive = build_motive(model, pair, xi, prec=N)
+    motive = build_motive(model, solve_shtuka(model, xi), xi)
     ring = motive.ring
     phi_rho = drinfeld_phi(ring, [ring.theta()] + [ring.zero()] * (ell - 1) + [ring.one()])
     ident = _wmat(ring, [[ring.one() if i == j else ring.zero() for j in range(ell)] for i in range(ell)])

@@ -13,8 +13,9 @@ and of whole t-series alike (tate.py), go through one Kronecker packing
 kernel so that big products cost one Python long multiplication instead
 of a quadratic dict loop.
 
-The same machinery, re-tagged with the variable "t", performs
-factorization over F_q((1/t)) for CM-field validation.
+CM-field validation reads the same series as elements of F_q((1/t)),
+with t in place of theta.  Its roots never meet a theta-series, so a
+series carries no variable tag.
 """
 
 from __future__ import annotations
@@ -43,42 +44,36 @@ _PACK_THRESHOLD = 3000  # len(a)*len(b) above which packing wins
 class InfElem:
     """Truncated Puiseux series over a finite field with tracked precision."""
 
-    __slots__ = ("field", "e", "coeffs", "prec", "var")
+    __slots__ = ("field", "e", "coeffs", "prec")
 
-    def __init__(self, field: Fq, e: int, coeffs: dict, prec: int, var="theta"):
+    def __init__(self, field: Fq, e: int, coeffs: dict, prec: int):
         self.field = field
         self.e = e
         self.prec = prec
-        self.var = var
         self.coeffs = {k: c for k, c in coeffs.items() if c and k < prec}
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(field, prec, e=1, var="theta"):
-        return InfElem(field, e, {}, prec * e, var)
+    def zero(field, prec, e=1):
+        return InfElem(field, e, {}, prec * e)
 
     @staticmethod
-    def const(field, c, prec, e=1, var="theta"):
-        return InfElem(field, e, {0: c} if c else {}, prec * e, var)
+    def const(field, c, prec, e=1):
+        return InfElem(field, e, {0: c} if c else {}, prec * e)
 
     @staticmethod
-    def theta(field, prec, e=1, var="theta"):
-        return InfElem(field, e, {-e: 1}, prec * e, var)
+    def theta(field, prec, e=1):
+        return InfElem(field, e, {-e: 1}, prec * e)
 
     @staticmethod
-    def from_poly(field, coeffs, prec, var="theta"):
+    def from_poly(field, coeffs, prec):
         """Polynomial in theta: coeffs[j] is the coefficient of theta^j."""
         data = {}
         for j, c in enumerate(coeffs):
             if c:
                 data[-j] = c
-        return InfElem(field, 1, data, prec, var)
-
-    @staticmethod
-    def monomial(field, c, k, prec_units, e=1, var="theta"):
-        """c * u^k with absolute precision given directly in exponent units."""
-        return InfElem(field, e, {k: c} if c else {}, prec_units, var)
+        return InfElem(field, 1, data, prec)
 
     # -- inspection -----------------------------------------------------
 
@@ -112,7 +107,7 @@ class InfElem:
 
     def __repr__(self):
         if not self.coeffs:
-            return f"O({self.var}^{-self.prec_val})"
+            return f"O(theta^{-self.prec_val})"
         ks = sorted(self.coeffs)
         parts = []
         for k in ks[:6]:
@@ -121,10 +116,10 @@ class InfElem:
             if expo == 0:
                 parts.append(f"{c}")
             else:
-                parts.append(f"{c}*{self.var}^({expo})")
+                parts.append(f"{c}*theta^({expo})")
         if len(ks) > 6:
             parts.append("...")
-        return " + ".join(parts) + f" + O({self.var}^{-self.prec_val})"
+        return " + ".join(parts) + f" + O(theta^{-self.prec_val})"
 
     # -- field/ramification alignment ------------------------------------
 
@@ -136,12 +131,10 @@ class InfElem:
             raise ValueError("ramification index must refine the current one")
         s = e // self.e
         phi = self.field.embed_into(field) if field is not self.field else (lambda x: x)
-        return InfElem(field, e, {k * s: phi(c) for k, c in self.coeffs.items()}, self.prec * s, self.var)
+        return InfElem(field, e, {k * s: phi(c) for k, c in self.coeffs.items()}, self.prec * s)
 
     @staticmethod
     def align(a: "InfElem", b: "InfElem"):
-        if a.var != b.var:
-            raise ValueError("mixed series variables")
         field = a.field.compositum(b.field)
         e = lcm(a.e, b.e)
         return a.lift(field, e), b.lift(field, e)
@@ -149,13 +142,13 @@ class InfElem:
     def truncate(self, prec_units):
         if prec_units >= self.prec:
             return self
-        return InfElem(self.field, self.e, {k: c for k, c in self.coeffs.items() if k < prec_units}, prec_units, self.var)
+        return InfElem(self.field, self.e, {k: c for k, c in self.coeffs.items() if k < prec_units}, prec_units)
 
     def at_prec(self, prec_units):
         """The recorded digits below prec_units, read as known to exactly
         prec_units.  For a Newton iterate, an exact approximation, raising
         the precision claims only that the digits past it are zero."""
-        return InfElem(self.field, self.e, self.coeffs, prec_units, self.var)
+        return InfElem(self.field, self.e, self.coeffs, prec_units)
 
     def with_prec_val(self, prec_val):
         return self.truncate(int(prec_val * self.e))
@@ -173,11 +166,11 @@ class InfElem:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return InfElem(f, a.e, out, prec, a.var)
+        return InfElem(f, a.e, out, prec)
 
     def __neg__(self):
         f = self.field
-        return InfElem(f, self.e, {k: f.neg(c) for k, c in self.coeffs.items()}, self.prec, self.var)
+        return InfElem(f, self.e, {k: f.neg(c) for k, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -189,7 +182,7 @@ class InfElem:
         lb = b.lead_exp
         prec = min(a.prec + lb, b.prec + la)
         if not a.coeffs or not b.coeffs:
-            return InfElem(f, a.e, {}, prec, a.var)
+            return InfElem(f, a.e, {}, prec)
         if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
             packed = _kronecker_mul([a], [b], 1)
             if packed is not None:
@@ -205,23 +198,23 @@ class InfElem:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return InfElem(f, a.e, out, prec, a.var)
+        return InfElem(f, a.e, out, prec)
 
     def scale(self, c):
         """Multiply by a constant of the same field."""
         f = self.field
         if not c:
-            return InfElem(f, self.e, {}, self.prec, self.var)
-        return InfElem(f, self.e, {k: f.mul(c, v) for k, v in self.coeffs.items()}, self.prec, self.var)
+            return InfElem(f, self.e, {}, self.prec)
+        return InfElem(f, self.e, {k: f.mul(c, v) for k, v in self.coeffs.items()}, self.prec)
 
     def mono_mul(self, c, k):
         """Multiply by the exact monomial c*u^k (no precision loss beyond shift)."""
         f = self.field
         if not c:
-            return InfElem(f, self.e, {}, self.prec + k, self.var)
+            return InfElem(f, self.e, {}, self.prec + k)
         if c == 1:
-            return InfElem(f, self.e, {kk + k: v for kk, v in self.coeffs.items()}, self.prec + k, self.var)
-        return InfElem(f, self.e, {kk + k: f.mul(c, v) for kk, v in self.coeffs.items()}, self.prec + k, self.var)
+            return InfElem(f, self.e, {kk + k: v for kk, v in self.coeffs.items()}, self.prec + k)
+        return InfElem(f, self.e, {kk + k: f.mul(c, v) for kk, v in self.coeffs.items()}, self.prec + k)
 
     def inverse(self):
         if not self.coeffs:
@@ -236,11 +229,11 @@ class InfElem:
         # each step runs at twice the relative precision of the last.
         cinv = f.inv(self.coeffs[L])
         unit = self.mono_mul(cinv, -L)
-        y = InfElem(f, self.e, {0: 1}, 1, self.var)
+        y = InfElem(f, self.e, {0: 1}, 1)
         while y.prec < relprec:
             w = min(2 * y.prec, relprec)
             y = y.at_prec(w)
-            err = unit.truncate(w) * y - InfElem(f, self.e, {0: 1}, w, self.var)
+            err = unit.truncate(w) * y - InfElem(f, self.e, {0: 1}, w)
             y = y - y * err
         return y.mono_mul(cinv, -L)
 
@@ -251,7 +244,7 @@ class InfElem:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return InfElem(self.field, self.e, {0: 1}, max(self.prec - self.lead_exp, 1), self.var)
+            return InfElem(self.field, self.e, {0: 1}, max(self.prec - self.lead_exp, 1))
         acc = None
         base = self
         while n:
@@ -272,14 +265,14 @@ class InfElem:
         q = f.q
         if n > 0:
             s = q**n
-            return InfElem(f, self.e, {k * s: f.frob_q(c, n) for k, c in self.coeffs.items()}, self.prec * s, self.var)
+            return InfElem(f, self.e, {k * s: f.frob_q(c, n) for k, c in self.coeffs.items()}, self.prec * s)
         s = q ** (-n)
         out = {}
         for k, c in self.coeffs.items():
             if k % s:
                 raise NotAPower(f"exponent {k} not divisible by q^{-n}")
             out[k // s] = f.frob_q(c, n)
-        return InfElem(f, self.e, out, -(-self.prec // s), self.var)
+        return InfElem(f, self.e, out, -(-self.prec // s))
 
     def nth_root(self, n):
         """Canonical n-th root, extending ramification/constants as needed.
@@ -320,7 +313,7 @@ class InfElem:
         out = {}
         for k, c in elem.coeffs.items():
             out[k // s] = elem.field.frob(c, -v)
-        return InfElem(elem.field, elem.e, out, -(-elem.prec // s), self.var)
+        return InfElem(elem.field, elem.e, out, -(-elem.prec // s))
 
     def _prime_to_p_root(self, n):
         f = self.field
@@ -336,8 +329,8 @@ class InfElem:
         # strip the leading monomial: elem = c u^L * unit, then lift the
         # root y0 = 1 of y^n - unit; it is simple, n being prime to p
         unit = elem.mono_mul(fld.inv(elem.coeffs[L]), -L)
-        zero = InfElem(fld, elem.e, {}, unit.prec, self.var)
-        one = InfElem(fld, elem.e, {0: 1}, unit.prec, self.var)
+        zero = InfElem(fld, elem.e, {}, unit.prec)
+        one = InfElem(fld, elem.e, {0: 1}, unit.prec)
         y = _hensel_lift([-unit] + [zero] * (n - 1) + [one], 1, fld, 0, elem.e)
         root = y.mono_mul(croot, L // n)
         # absolute precision: d(a^(1/n)) = da / (n a^((n-1)/n))
@@ -355,7 +348,7 @@ class InfElem:
             "p": f.p,
             "a": f.a,
             "modulus": list(f.modulus),
-            "var": self.var,
+            "var": "theta",
             "e": self.e,
             "leading_exponent": self.lead_exp if self.coeffs else None,
             "coeffs": [[k, list(f.digits(c))] for k, c in sorted(self.coeffs.items())],
@@ -364,9 +357,11 @@ class InfElem:
 
     @staticmethod
     def from_json(obj):
+        if obj.get("var", "theta") != "theta":
+            raise ValueError(f"series in {obj['var']!r}, not in theta")
         f = Fq.get(obj["p"], obj["a"], obj["m"], tuple(obj["modulus"]))
         coeffs = {int(k): f.from_digits(d) for k, d in obj["coeffs"]}
-        return InfElem(f, obj["e"], coeffs, obj["prec_N"], obj.get("var", "theta"))
+        return InfElem(f, obj["e"], coeffs, obj["prec_N"])
 
 
 def align_all(values):
@@ -423,7 +418,6 @@ def _kronecker_mul(a, b, T):
     """
     fld = a[0].field
     e = a[0].e
-    var = a[0].var
     n = fld.n
     stride = 2 * n - 1
     leads_a = [c.lead_exp for c in a]
@@ -462,7 +456,7 @@ def _kronecker_mul(a, b, T):
     la, ta = extent(da)
     lb, tb = extent(db)
     if la is None or lb is None:
-        return [InfElem(fld, e, {}, prec_k, var) for prec_k in precs]
+        return [InfElem(fld, e, {}, prec_k) for prec_k in precs]
     span_a = ta - la + 1
     span_b = tb - lb + 1
     span = span_a + span_b
@@ -505,7 +499,7 @@ def _kronecker_mul(a, b, T):
                 c = reduce_digits(vec)
                 if c:
                     coeffs_k[base_exp + off] = c
-        out.append(InfElem(fld, e, coeffs_k, precs[k], var))
+        out.append(InfElem(fld, e, coeffs_k, precs[k]))
     return out
 
 
@@ -583,7 +577,7 @@ def newton_roots(f):
     while f[nzero].is_zero():
         nzero += 1
     if nzero:
-        z = InfElem.zero(f[0].field, f[0].prec // f[0].e, f[0].e, f[0].var)
+        z = InfElem.zero(f[0].field, f[0].prec // f[0].e, f[0].e)
         roots.append((z, nzero))
         f = f[nzero:]
     simple = _squarefree_roots(f)
@@ -649,7 +643,7 @@ def _polygon_roots(f, depth=8, min_val=None):
         return out
     if f[0].is_zero():
         # an earlier shift hit the root exactly
-        out.append(InfElem(f[0].field, f[0].e, {}, f[0].prec, f[0].var))
+        out.append(InfElem(f[0].field, f[0].e, {}, f[0].prec))
         nz = 0
         while f[nz].is_zero():
             nz += 1
@@ -688,7 +682,7 @@ def _polygon_roots(f, depth=8, min_val=None):
                 big = const.compositum(cfield)
                 phi = cfield.embed_into(big) if cfield is not big else (lambda x: x)
                 shifted = [c.lift(big, e2) for c in lifted]
-                approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted), f[0].var)
+                approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted))
                 g = poly_taylor(shifted, approx)
                 for r2 in _polygon_roots(g, depth - 1, min_val=root_val):
                     out.append(approx + r2)
@@ -713,7 +707,7 @@ def _hensel_lift(f, cbar, cfield, mup, e2):
     phi = cfield.embed_into(fld) if cfield is not fld else (lambda x: x)
     prec = max(c.prec for c in lifted)
     vmin = min(c.lead_exp + mup * i for i, c in enumerate(lifted) if not c.is_zero())
-    y = InfElem(fld, e2, {mup: phi(cbar)}, prec, f[0].var)
+    y = InfElem(fld, e2, {mup: phi(cbar)}, prec)
     r = 2
     while mup + r < prec:
         work = [c.truncate(vmin - mup * i + r) for i, c in enumerate(lifted)]

@@ -218,7 +218,7 @@ def _substitute(coeff_polys, values):
     for cs, v in zip(coeff_polys, values):
         if any(cs):
             poly = {-h * v.e: c for h, c in enumerate(cs)}
-            term = InfElem(v.field, v.e, poly, v.prec - v.lead_exp + 1, v.var) * v
+            term = InfElem(v.field, v.e, poly, v.prec - v.lead_exp + 1) * v
             acc = term if acc is None else acc + term
     return acc.residual_val() if acc is not None else Fraction(0)
 

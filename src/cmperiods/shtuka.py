@@ -379,14 +379,14 @@ def _model_wring(model: CMFieldModel):
     return model._wring
 
 
-def _linear_factors(model: CMFieldModel, xi: CMDivisor, prec):
+def _linear_factors(model: CMFieldModel, xi: CMDivisor):
     """prod over the points of (y - nu_xi)^(m_xi) in W[y], with nu = eps * w
     on Kummer models and nu = w elsewhere, and the zeros it was built from."""
     ring, _ = _model_wring(model)
     w = ring.w()
     h = WPoly.const(ring, ring.one(), var="y")
     zeros = {}
-    for pt in model.points(prec):
+    for pt in model.points():
         m = xi[pt.label]
         if not m:
             continue
@@ -398,7 +398,7 @@ def _linear_factors(model: CMFieldModel, xi: CMDivisor, prec):
     return h, zeros
 
 
-def solve_shtuka(model: CMFieldModel, xi: CMDivisor, prec=120):
+def solve_shtuka(model: CMFieldModel, xi: CMDivisor):
     """Solve div(h) = Xi - I_Xi on the genus-zero model (W = 0).
 
     Every degree-zero divisor on a genus-zero curve is principal, so h is
@@ -408,14 +408,14 @@ def solve_shtuka(model: CMFieldModel, xi: CMDivisor, prec=120):
     """
     from .cmtypes import reduction_at_infinity
 
-    red = reduction_at_infinity(xi, model, prec)
+    red = reduction_at_infinity(xi, model)
     component = None
     if model.kind == "constant-ext":
-        comps = {model.point(l, prec).component for l in xi.support()}
+        comps = {model.point(l).component for l in xi.support()}
         if len(comps) != 1:
             raise UnsupportedGenus("constant-ext builds support a single-component divisor")
         (component,) = comps
-    h, zeros = _linear_factors(model, xi, prec)
+    h, zeros = _linear_factors(model, xi)
     ledger = {"zeros": zeros, "poles": {"inf0": xi.degree()}}
     if component is not None:
         ledger.update(component=component, twist_order=model.ell)
@@ -472,7 +472,7 @@ class DualMotive:
         }
 
 
-def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120):
+def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor):
     """Expand sigma on the fixed basis of the coordinate-ring motive.
 
     Monomial basis 1, y, .., y^(E-1) on Kummer-shape models, where row j of
@@ -482,7 +482,7 @@ def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120)
     """
     if pair.model is not model:
         raise ModelMismatch("pair was solved on a different model")
-    sigma_exponents = {pt.label: xi[pt.label] for pt in model.points(prec)}
+    sigma_exponents = {pt.label: xi[pt.label] for pt in model.points()}
     ring, u_t = _model_wring(model)
     one, zero = WPoly.const(ring, ring.one()), WPoly(ring, [])
     if pair.component is None:
@@ -523,20 +523,20 @@ def build_motive(model: CMFieldModel, pair: ShtukaPair, xi: CMDivisor, prec=120)
     return motive
 
 
-def tensor_motives(m1: DualMotive, m2: DualMotive, prec=120):
+def tensor_motives(m1: DualMotive, m2: DualMotive):
     """Tensor over the coordinate ring: CM types add, and the shtuka
     function is the one of the summed divisor."""
     if m1.model is not m2.model:
         raise ModelMismatch("tensor factors live on different models")
     xi = m1.xi + m2.xi
-    return build_motive(m1.model, solve_shtuka(m1.model, xi, prec), xi, prec)
+    return build_motive(m1.model, solve_shtuka(m1.model, xi), xi)
 
 
 # ---------------------------------------------------------------------------
 # sigma-ideal identity
 
 
-def sigma_ideal_check(motive: DualMotive, prec=120):
+def sigma_ideal_check(motive: DualMotive):
     """Verify sigma M = (prod P_xi^{m_xi}) M by generator comparison.
 
     On the affine coordinate ring (a PID over the exact scalar field W
@@ -547,7 +547,7 @@ def sigma_ideal_check(motive: DualMotive, prec=120):
     _, u_t = _model_wring(motive.model)
     phi = motive.phi
     h_y = _unfold(phi[0] if motive.pair.component is None else [phi[0][-1]], u_t)
-    expected, _ = _linear_factors(motive.model, motive.xi, prec)
+    expected, _ = _linear_factors(motive.model, motive.xi)
     q1, r1 = h_y.divmod(expected)
     q2, r2 = expected.divmod(h_y) if not h_y.is_zero() else (None, None)
     both = r1.is_zero() and r2 is not None and r2.is_zero()
@@ -558,7 +558,7 @@ def sigma_ideal_check(motive: DualMotive, prec=120):
 # Hodge-Pink weights via exact Smith reduction
 
 
-def _smith_tdeg(mat, ring):
+def _smith_tdeg(mat):
     """Elementary divisors of a WPoly matrix over the PID W[t]."""
     m = [[c for c in row] for row in mat]
     n = len(m)
@@ -616,7 +616,7 @@ def hodge_pink_weights(motive: DualMotive):
     Returns the sorted weight list, one entry per basis element (weight 0
     for trivial divisors).
     """
-    divs = _smith_tdeg(motive.phi, motive.ring)
+    divs = _smith_tdeg(motive.phi)
     tt = t_minus_theta(motive.ring)
     weights = []
     for d in divs:

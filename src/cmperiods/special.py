@@ -56,7 +56,7 @@ def omega_series(q, T, N, n=1):
     zero = InfElem.zero(fld, prec_val, e)
     coeffs = [one] + [zero] * (T - 1)
     for i in range(1, imax + 1):
-        monos = [(k, InfElem.monomial(fld, c, k * q**i * e, prec_val * e, e)) for k, c in binomials]
+        monos = [(k, InfElem(fld, e, {k * q**i * e: c}, prec_val * e)) for k, c in binomials]
         new = list(coeffs)
         for j in range(T - 1, 0, -1):
             for k, mono in monos:
@@ -88,9 +88,7 @@ def carlitz_period(q, N, with_report=False):
     acc = root**q
     i = 1
     while q**i - 1 <= prec_val:
-        factor = InfElem.const(fld, 1, prec_val, e) - InfElem.monomial(
-            fld, 1, (q**i - 1) * e, prec_val * e, e
-        )
+        factor = InfElem.const(fld, 1, prec_val, e) - InfElem(fld, e, {(q**i - 1) * e: 1}, prec_val * e)
         acc = acc * factor.inverse()
         i += 1
     pi_alt = acc.with_prec_val(N)
@@ -126,7 +124,7 @@ def _pole_guard(num: FPoly, den: FPoly):
             raise PoleArgument("gamma argument lies in -A_+")
 
 
-def geometric_gamma(x, N, q=None):
+def geometric_gamma(x, N):
     """Thakur's geometric gamma x^(-1) prod_{a monic} (1 + x/a)^(-1).
 
     x may be an exact rational function (numerator, denominator FPoly pair
@@ -148,8 +146,7 @@ def geometric_gamma(x, N, q=None):
         q = base.q
     else:
         xv = x
-        if q is None:
-            q = xv.field.q
+        q = xv.field.q
         if xv.is_zero():
             raise PoleArgument("gamma argument is zero")
         v = xv.val()

@@ -21,8 +21,11 @@ from .infinity import InfElem, _kronecker_mul, align_all
 class Decay:
     """Lower bound on coefficient valuations: val(a_i) >= A + B*g(i).
 
-    kind "linear": g(i) = i; kind "qpow": g(i) = q^(i // step), so that a
-    product of qpow series may climb more slowly than either factor.
+    kind "linear": g(i) = i; kind "qpow": g(i) = q^(i // step), the shape
+    of Omega^n, whose t^k coefficient climbs one power of q per n indices.
+    A product of two linear series is described again.  A product with a
+    qpow factor carries no descriptor, which is always sound: nothing in
+    the program multiplies a qpow series.
     """
 
     __slots__ = ("kind", "A", "B", "q", "step")
@@ -43,30 +46,11 @@ class Decay:
         return Decay(self.kind, self.A * factor, self.B * factor, self.q, self.step)
 
     def combine_mul(self, other: "Decay"):
-        """Valid descriptor for the product of two described series, or
-        None when a qpow factor has a negative slope."""
+        """Valid descriptor for the product of two linear series; None
+        when either factor is qpow."""
         if self.kind == "linear" and other.kind == "linear":
             return Decay("linear", self.A + other.A, min(self.B, other.B))
-        if self.kind == "qpow" and other.kind == "qpow":
-            b = min(self.B, other.B)
-            if b < 0:
-                return None
-            if self.step == other.step == 1:
-                # q^i + q^(k-i) >= 2 q^(k // 2): one exponent is at least
-                # k // 2 + 1 when the other is below k // 2
-                return Decay("qpow", self.A + other.A, 2 * b, self.q, 2)
-            # for i + j = k, i // s1 or j // s2 is at least m = k // (s1 + s2):
-            # the terms are at least min(B1 q^m + B2, B1 + B2 q^m)
-            return Decay("qpow", self.A + other.A + max(self.B, other.B), b, self.q, self.step + other.step)
-        lin = self if self.kind == "linear" else other
-        qp = other if self.kind == "linear" else self
-        if qp.B < 0:
-            return None
-        # q^m >= 1 + (q-1)m (Bernoulli) and j // s >= (j - s + 1)/s, so
-        # val(b_j) >= qp.A + qp.B - qp.B(q-1)(s-1)/s + (qp.B(q-1)/s) j
-        s = qp.step
-        slope = qp.B * (qp.q - 1) / s
-        return Decay("linear", lin.A + qp.A + qp.B - slope * (s - 1), min(lin.B, slope))
+        return None
 
     def tail_min(self, i0, weight=1):
         """min over i >= i0 of bound(i) - weight*i (tail of sum a_i theta^i).
@@ -118,14 +102,14 @@ class TateSeries:
 
     @staticmethod
     def constant(x: InfElem, T):
-        z = InfElem(x.field, x.e, {}, x.prec, x.var)
+        z = InfElem(x.field, x.e, {}, x.prec)
         return TateSeries([x] + [z] * (T - 1))
 
     @staticmethod
     def poly(coeffs, T):
         """Pad an InfElem list with exact zeros up to length T."""
         c0 = coeffs[0]
-        z = InfElem(c0.field, c0.e, {}, c0.prec, c0.var)
+        z = InfElem(c0.field, c0.e, {}, c0.prec)
         out = list(coeffs) + [z] * (T - len(coeffs))
         return TateSeries(out[:T])
 
@@ -215,7 +199,7 @@ class TateSeries:
                         out[k] = s
                     else:
                         del out[k]
-        return InfElem(f, e, out, prec, self.coeffs[0].var)
+        return InfElem(f, e, out, prec)
 
     def residual_val(self):
         return min(c.residual_val() for c in self.coeffs)

@@ -398,12 +398,11 @@ def agf(module: TModule, lam: InfElem, j: int, T: int):
     return TateSeries(coeffs, Decay("linear", A, 1)).twist(j)
 
 
-def de_rham_pairing(module: TModule, j: int, lam: InfElem, T=None):
+def de_rham_pairing(module: TModule, j: int, lam: InfElem):
     """Quasi-period [delta_j, lam] = <tau^j | G_lam> evaluated at theta."""
     if lam.is_zero():
         return lam
-    if T is None:
-        T = int(lam.prec_val // max(module.q**j - 1, 1)) + 8
+    T = int(lam.prec_val // max(module.q**j - 1, 1)) + 8
     return agf(module, lam, j, T).eval_theta()
 
 

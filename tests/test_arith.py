@@ -228,11 +228,11 @@ def test_found_roots_divide_exactly():
     for _ in range(25):
         deg = rng.randrange(1, 9)
         coeffs = [rng.randrange(F.size) for _ in range(deg)] + [1]
-        f = FPoly(F, coeffs, var="y")
-        prod = FPoly.const(F, 1, var="y")
-        lin = FPoly(F, (0, 1), var="y")
+        f = FPoly(F, coeffs)
+        prod = FPoly.const(F, 1)
+        lin = FPoly(F, (0, 1))
         for r, mult in poly_roots_in_ext(coeffs, F, F):
-            factor = lin + FPoly.const(F, F.neg(r), var="y")
+            factor = lin + FPoly.const(F, F.neg(r))
             for _ in range(mult):
                 prod = prod * factor
         q, rem = f.divmod(prod)

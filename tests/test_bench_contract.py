@@ -11,7 +11,9 @@ from cmperiods.infinity import InfElem, inf_nth_root
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import params  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_traced_names_resolve():
@@ -49,3 +51,15 @@ def test_traced_relation_search_matches_untraced():
     assert got == want and want[0] and want[3] is not None
     assert tracer.units["relhunt.find_linear_relations.columns"] > 0
     assert {"relhunt.find_linear_relations", "relhunt.find_algebraic_relation"} <= set(tracer.names)
+
+
+def test_toy_pass_of_every_workload():
+    # the benchmark's calls into the program, run once at toy size: a
+    # signature the workloads depend on that breaks fails here, not in a
+    # benchmark run
+    for workload in params.WORKLOADS:
+        ledger = {}
+        jobs = workloads.job_list(workload, workloads.make_inputs(workload, 7, "toy"), ledger)
+        assert jobs, workload
+        for job in jobs:
+            assert job.check(job.run()), f"{workload}: {job.name}"

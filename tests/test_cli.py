@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cmperiods
 from cmperiods.cli import main
 
@@ -55,6 +57,23 @@ def test_model_file_round_trip(tmp_path):
     code, _ = run_cli(["cm", "points", "--model", "fixtures/kummer-t-3.json", "--prec", "60", "--json", "--out", str(tmp_path / "p.json")]), None
     rep = json.loads((tmp_path / "p.json").read_text())
     assert rep["payload"]["count"] == 2
+
+
+def test_relhunt_refuses_a_series_outside_theta(tmp_path):
+    # relhunt reads its values over F_q((1/theta)); a file that mixes in a
+    # series tagged "t" is refused when it is read, as mixing always was
+    from cmperiods.arith import Fq
+    from cmperiods.infinity import InfElem
+
+    fld = Fq.get(3, 1, 1)
+    v = InfElem(fld, 1, {k: 1 + k % 2 for k in range(-2, 40)}, 40)
+    ok, mixed = tmp_path / "ok.json", tmp_path / "mixed.json"
+    ok.write_text(json.dumps([v.to_json(), v.mono_mul(2, -1).to_json()]))
+    mixed.write_text(json.dumps([v.to_json(), dict(v.to_json(), var="t")]))
+    code, _ = run_cli(["relhunt", "--values", str(ok), "--deg", "1", "--height", "2", "--margin", "5"])
+    assert code == 0
+    with pytest.raises(ValueError):
+        run_cli(["relhunt", "--values", str(mixed), "--deg", "1", "--height", "2", "--margin", "5"])
 
 
 def test_gamma_pole_exit_code():

@@ -1,3 +1,5 @@
+import pytest
+
 from cmperiods.cmtypes import (
     THETA_POINT,
     CMDivisor,
@@ -15,7 +17,9 @@ from cmperiods.cmtypes import (
     restrict,
     validate_cm_field,
 )
+from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import InfElem
+from cmperiods.shtuka import sigma_ideal_check
 
 
 def kummer(q):
@@ -241,3 +245,56 @@ def test_model_json_round_trip():
         again = CMFieldModel.from_json(model.to_json())
         assert again.to_json() == model.to_json()
         assert [p.label for p in again.points()] == [p.label for p in model.points()]
+
+
+FIXTURE_MODELS = [
+    ("carlitz", 2),
+    ("carlitz", 3),
+    ("carlitz-tensor:2", 3),
+    ("carlitz-tensor:3", 4),
+    ("kummer-t:3", 3),
+    ("kummer-t:5", 5),
+    ("const-ext:2", 3),
+    ("const-ext:2", 4),
+    ("const-ext:3", 2),
+    ("const-ext:3", 3),
+]
+
+
+@pytest.mark.parametrize("name,q", FIXTURE_MODELS)
+def test_point_labels_do_not_depend_on_precision(name, q):
+    # the exact layer reads only labels, fibers, components and epsilons,
+    # which is why it takes no precision: they agree at every precision
+    model = get_fixture(name, q=q, N=40).model
+    seen = {
+        prec: [(p.label, p.fiber, p.component, p.epsilon) for p in model.points(prec)]
+        for prec in (40, 60, 120, 200)
+    }
+    assert {40, 60, 120, 200} <= set(model._points)
+    assert all(labels == seen[40] for labels in seen.values()), seen
+    assert model.fibers() == {"xi_theta+": sorted(label for label, *_ in seen[40])}
+
+
+def test_exact_layer_searches_the_points_once(monkeypatch):
+    # after the fixture is built at prec 200, the exact layer reuses its
+    # points: no second root search at some other precision
+    computed = []
+    original = CMFieldModel.points
+
+    def recording(self, *args, **kwargs):
+        known = set(self._points)
+        out = original(self, *args, **kwargs)
+        computed.extend(sorted(set(self._points) - known))
+        return out
+
+    monkeypatch.setattr(CMFieldModel, "points", recording)
+    fx = get_fixture("kummer-t:5", q=5, N=200)
+    assert computed == [200]
+    assert sigma_ideal_check(fx.motive)["pass"]
+    assert computed == [200]
+    assert nondegenerate_xi0(fx.model, "xi0")["non_degenerate"]
+    assert computed == [200]
+    # a model with no points yet still gets them, at 120
+    fresh = kummer(3)
+    assert [p.label for p in fresh.points()] == ["xi0", "xi1"]
+    assert computed == [200, 120]

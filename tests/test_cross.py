@@ -77,4 +77,4 @@ def test_const_ext_multi_component_build_rejected():
     pts = fx.model.points(60)
     both = CMDivisor({p.label: 1 for p in pts})
     with pytest.raises(UnsupportedGenus):
-        solve_shtuka(fx.model, both, 60)
+        solve_shtuka(fx.model, both)

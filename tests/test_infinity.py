@@ -22,13 +22,13 @@ F257 = Fq.get(257, 1, 1)
 F4093 = Fq.get(4093, 1, 1)
 
 
-def rand_elem(rng, field, e=1, prec=40, lead=-6, density=0.5, var="theta"):
+def rand_elem(rng, field, e=1, prec=40, lead=-6, density=0.5):
     coeffs = {}
     for k in range(lead, prec):
         if rng.random() < density:
             c = rng.randrange(1, field.size)
             coeffs[k] = c
-    return InfElem(field, e, coeffs, prec, var)
+    return InfElem(field, e, coeffs, prec)
 
 
 def test_theta_product_difference_of_squares():
@@ -292,6 +292,11 @@ def test_json_round_trip_bit_exact():
     assert b.field is a.field
     assert b.coeffs == a.coeffs and b.prec == a.prec and b.e == a.e
     assert b.to_json() == obj
+    # values are read over F_q((1/theta)) only: a series tagged with
+    # another variable is refused where it is read
+    assert obj["var"] == "theta"
+    with pytest.raises(ValueError):
+        InfElem.from_json(dict(obj, var="t"))
 
 
 # -- the Newton kernels at doubling precision against naive references ------
