@@ -388,9 +388,13 @@ def cmd_legendre(args, t0):
 
 
 def cmd_relhunt(args, t0):
-    with open(args.values) as fh:
-        data = json.load(fh)
-    values = [InfElem.from_json(obj) for obj in data]
+    try:
+        with open(args.values) as fh:
+            data = json.load(fh)
+        values = [InfElem.from_json(obj) for obj in data]
+    except ValueError as ex:
+        print(f"invalid values file: {ex}", file=sys.stderr)
+        return 2
     config = {"deg": args.deg, "height": args.height, "margin": args.margin, "values": len(values)}
     certs = []
     if len(values) == 1:

@@ -8,10 +8,14 @@ val(u) = 1/e and val = exponent/e.  This is the computable stand-in for
 the completion of the algebraic closure of F_q((1/theta)).
 
 Precision is absolute, never relative: telescoping-sum arguments for
-quasi-periods need hard tail bounds.  Dense multiplications, of InfElems
-and of whole t-series alike (tate.py), go through one Kronecker packing
-kernel so that big products cost one Python long multiplication instead
-of a quadratic dict loop.
+quasi-periods need hard tail bounds.  No recorded coefficient is 0 and
+no key is >= prec.  InfElem(...) enforces this by filtering what it is
+given, as outside input needs; the ring operations build results that
+already hold it once, with InfElem._trusted, and add and multiply
+coefficients in the field's own representation (_add_into, _mapped).
+Dense multiplications, of InfElems and of whole t-series alike
+(tate.py), go through one Kronecker packing kernel so that big products
+cost one Python long multiplication instead of a quadratic dict loop.
 
 CM-field validation reads the same series as elements of F_q((1/t)),
 with t in place of theta.  Its roots never meet a theta-series, so a
@@ -42,7 +46,10 @@ _PACK_THRESHOLD = 3000  # len(a)*len(b) above which packing wins
 
 
 class InfElem:
-    """Truncated Puiseux series over a finite field with tracked precision."""
+    """Truncated Puiseux series over a finite field with tracked precision.
+
+    coeffs maps each exponent k < prec to a nonzero coefficient; the
+    constructor drops the zeros and keys >= prec that it is given."""
 
     __slots__ = ("field", "e", "coeffs", "prec")
 
@@ -51,6 +58,13 @@ class InfElem:
         self.e = e
         self.prec = prec
         self.coeffs = {k: c for k, c in coeffs.items() if c and k < prec}
+
+    @classmethod
+    def _trusted(cls, field, e, coeffs, prec):
+        """An element from a dict that is free of zeros and below prec."""
+        self = object.__new__(cls)
+        self.field, self.e, self.coeffs, self.prec = field, e, coeffs, prec
+        return self
 
     # -- constructors --------------------------------------------------
 
@@ -131,7 +145,7 @@ class InfElem:
             raise ValueError("ramification index must refine the current one")
         s = e // self.e
         phi = self.field.embed_into(field) if field is not self.field else (lambda x: x)
-        return InfElem(field, e, {k * s: phi(c) for k, c in self.coeffs.items()}, self.prec * s)
+        return InfElem._trusted(field, e, {k * s: phi(c) for k, c in self.coeffs.items()}, self.prec * s)
 
     @staticmethod
     def align(a: "InfElem", b: "InfElem"):
@@ -142,7 +156,7 @@ class InfElem:
     def truncate(self, prec_units):
         if prec_units >= self.prec:
             return self
-        return InfElem(self.field, self.e, {k: c for k, c in self.coeffs.items() if k < prec_units}, prec_units)
+        return InfElem._trusted(self.field, self.e, {k: c for k, c in self.coeffs.items() if k < prec_units}, prec_units)
 
     def at_prec(self, prec_units):
         """The recorded digits below prec_units, read as known to exactly
@@ -156,21 +170,20 @@ class InfElem:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        a, b = InfElem.align(self, other)
-        f = a.field
-        prec = min(a.prec, b.prec)
-        out = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            s = f.add(out.get(k, 0), c)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return InfElem(f, a.e, out, prec)
+        if self.field is other.field and self.e == other.e:
+            a, b = self, other
+        else:
+            a, b = InfElem.align(self, other)
+        # copy the operand known to the lower precision (the larger one on
+        # a tie), whose keys are all below the sum's, and add in the other
+        if b.prec < a.prec or (b.prec == a.prec and len(b.coeffs) > len(a.coeffs)):
+            a, b = b, a
+        out = _add_into(dict(a.coeffs), b.coeffs, a.prec, a.field)
+        return InfElem._trusted(a.field, a.e, out, a.prec)
 
     def __neg__(self):
         f = self.field
-        return InfElem(f, self.e, {k: f.neg(c) for k, c in self.coeffs.items()}, self.prec)
+        return InfElem._trusted(f, self.e, _mapped(f, self.coeffs, f.neg(1)), self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,39 +195,27 @@ class InfElem:
         lb = b.lead_exp
         prec = min(a.prec + lb, b.prec + la)
         if not a.coeffs or not b.coeffs:
-            return InfElem(f, a.e, {}, prec)
+            return InfElem._trusted(f, a.e, {}, prec)
         if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
             packed = _kronecker_mul([a], [b], 1)
             if packed is not None:
                 return packed[0]
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
         out = {}
         for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                k = k1 + k2
-                if k >= prec:
-                    continue
-                s = f.add(out.get(k, 0), f.mul(c1, c2))
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return InfElem(f, a.e, out, prec)
+            _add_into(out, _mapped(f, b.coeffs, c1, k1), prec, f)
+        return InfElem._trusted(f, a.e, out, prec)
 
     def scale(self, c):
         """Multiply by a constant of the same field."""
-        f = self.field
-        if not c:
-            return InfElem(f, self.e, {}, self.prec)
-        return InfElem(f, self.e, {k: f.mul(c, v) for k, v in self.coeffs.items()}, self.prec)
+        return self.mono_mul(c, 0)
 
     def mono_mul(self, c, k):
         """Multiply by the exact monomial c*u^k (no precision loss beyond shift)."""
         f = self.field
-        if not c:
-            return InfElem(f, self.e, {}, self.prec + k)
-        if c == 1:
-            return InfElem(f, self.e, {kk + k: v for kk, v in self.coeffs.items()}, self.prec + k)
-        return InfElem(f, self.e, {kk + k: f.mul(c, v) for kk, v in self.coeffs.items()}, self.prec + k)
+        out = _mapped(f, self.coeffs, c, k) if c else {}
+        return InfElem._trusted(f, self.e, out, self.prec + k)
 
     def inverse(self):
         if not self.coeffs:
@@ -262,17 +263,18 @@ class InfElem:
         if n == 0:
             return self
         f = self.field
-        q = f.q
+        # on coefficients the q^n-power is the p^j-power, j = a*n mod [F : F_p]
+        coeffs = _mapped(f, self.coeffs, 1, 0, f.p ** (f.a * n % f.n))
         if n > 0:
-            s = q**n
-            return InfElem(f, self.e, {k * s: f.frob_q(c, n) for k, c in self.coeffs.items()}, self.prec * s)
-        s = q ** (-n)
+            s = f.q**n
+            return InfElem._trusted(f, self.e, {k * s: c for k, c in coeffs.items()}, self.prec * s)
+        s = f.q ** (-n)
         out = {}
-        for k, c in self.coeffs.items():
+        for k, c in coeffs.items():
             if k % s:
                 raise NotAPower(f"exponent {k} not divisible by q^{-n}")
-            out[k // s] = f.frob_q(c, n)
-        return InfElem(f, self.e, out, -(-self.prec // s))
+            out[k // s] = c
+        return InfElem._trusted(f, self.e, out, -(-self.prec // s))
 
     def nth_root(self, n):
         """Canonical n-th root, extending ramification/constants as needed.
@@ -374,6 +376,53 @@ def align_all(values):
     return [v.lift(field, e) for v in values], field, e
 
 
+def _add_into(out, coeffs, prec, f):
+    """out, free of zeros, with the coefficients below prec added in place.
+    The one place that chooses how a coefficient loop adds: (x + y) % p in
+    a prime field, XOR for p = 2, the flat _add table when f has one, else
+    Fq.add."""
+    p = f.p
+    if f.n == 1:
+        for k, c in coeffs.items():
+            if k < prec:
+                s = (out.get(k, 0) + c) % p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return out
+    table, size, add = f._add, f.size, f.add
+    for k, c in coeffs.items():
+        if k < prec:
+            x = out.get(k, 0)
+            s = x ^ c if p == 2 else table[x * size + c] if table is not None else add(x, c)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _mapped(f, coeffs, c, shift=0, power=1):
+    """{k + shift: c * v^power} over the coefficients v, for c nonzero.  The
+    one place that chooses how a coefficient loop multiplies: through the
+    log tables, log c read once, when f has them, else Fq.mul and Fq.pow."""
+    if c == 1 and power == 1:
+        return {k + shift: v for k, v in coeffs.items()}
+    lg = f._log
+    if lg is None:
+        mul, pw, neg = f.mul, f.pow, f.neg
+        if c == 1:
+            return {k + shift: pw(v, power) for k, v in coeffs.items()}
+        if c == neg(1) and power == 1:
+            return {k + shift: neg(v) for k, v in coeffs.items()}
+        return {k + shift: mul(c, v if power == 1 else pw(v, power)) for k, v in coeffs.items()}
+    ex, order, lc = f._exp, f.size - 1, lg[c]
+    if power == 1:
+        return {k + shift: ex[(lc + lg[v]) % order] for k, v in coeffs.items()}
+    return {k + shift: ex[(lc + lg[v] * power) % order] for k, v in coeffs.items()}
+
+
 def _const_nth_root(field: Fq, c: int, n: int):
     """Smallest canonical constant-field extension containing an n-th root
     of c, together with the canonical (least dlog) root."""
@@ -456,7 +505,7 @@ def _kronecker_mul(a, b, T):
     la, ta = extent(da)
     lb, tb = extent(db)
     if la is None or lb is None:
-        return [InfElem(fld, e, {}, prec_k) for prec_k in precs]
+        return [InfElem._trusted(fld, e, {}, prec_k) for prec_k in precs]
     span_a = ta - la + 1
     span_b = tb - lb + 1
     span = span_a + span_b
@@ -469,10 +518,15 @@ def _kronecker_mul(a, b, T):
     swap = sys.byteorder == "big"  # the packed integers are little-endian
 
     def pack(dicts, lead):
+        # a prime-field coefficient is its own digit
         slots = array(code, [0]) * nslots
         digits = fld.digits
         for i, d in enumerate(dicts):
             base_i = i * span - lead
+            if n == 1:
+                for k, v in d.items():
+                    slots[base_i + k] = v
+                continue
             for k, v in d.items():
                 base = (base_i + k) * stride
                 for j, digit in enumerate(digits(v)):
@@ -489,17 +543,22 @@ def _kronecker_mul(a, b, T):
         slots.byteswap()
     out = []
     reduce_digits = fld.reduce_digits
+    p = fld.p
     base_exp = la + lb
     for k in range(T):
-        coeffs_k = {}
         base = k * span * stride
-        for off in range(min(span, precs[k] - base_exp)):
-            vec = slots[base + off * stride: base + (off + 1) * stride]
-            if any(vec):
-                c = reduce_digits(vec)
-                if c:
-                    coeffs_k[base_exp + off] = c
-        out.append(InfElem(fld, e, coeffs_k, precs[k]))
+        stop = min(span, precs[k] - base_exp)
+        if n == 1:
+            coeffs_k = {base_exp + off: s % p for off, s in enumerate(slots[base: base + max(stop, 0)]) if s % p}
+        else:
+            coeffs_k = {}
+            for off in range(stop):
+                vec = slots[base + off * stride: base + (off + 1) * stride]
+                if any(vec):
+                    c = reduce_digits(vec)
+                    if c:
+                        coeffs_k[base_exp + off] = c
+        out.append(InfElem._trusted(fld, e, coeffs_k, precs[k]))
     return out
 
 

@@ -165,7 +165,8 @@ def _relations(values, H, margin):
             f"search space {ncols} exceeds precision rows {nrows} - margin {margin}"
         )
     # the column of theta^h eps v_i is the digit string of eps v_i read
-    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps)
+    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps);
+    # over a prime field (basis [1]) each coefficient is its own digit
     n = fld.n
     top = kmax + H * e
     strings = []
@@ -174,7 +175,10 @@ def _relations(values, H, margin):
             digits = bytearray((top - kmin) * n)
             for x, c in v.coeffs.items():
                 if x < top:
-                    digits[(x - kmin) * n: (x - kmin + 1) * n] = fld.digits(fld.mul(eps, c))
+                    if n == 1:
+                        digits[x - kmin] = c
+                    else:
+                        digits[(x - kmin) * n: (x - kmin + 1) * n] = fld.digits(fld.mul(eps, c))
             strings.append(bytes(digits))
     threshold = Fraction(kmax, e) - margin
     for vec in _canonical_kernel(_order_basis(strings, len(basis), H, e * n, nrows, fld.p), fld.p):

@@ -59,21 +59,39 @@ def test_model_file_round_trip(tmp_path):
     assert rep["payload"]["count"] == 2
 
 
-def test_relhunt_refuses_a_series_outside_theta(tmp_path):
+def _relhunt_values(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return ["relhunt", "--values", str(path), "--deg", "1", "--height", "2", "--margin", "5"]
+
+
+def test_relhunt_refuses_a_series_outside_theta(tmp_path, capsys):
     # relhunt reads its values over F_q((1/theta)); a file that mixes in a
-    # series tagged "t" is refused when it is read, as mixing always was
+    # series tagged "t" is refused when it is read, as a usage error
     from cmperiods.arith import Fq
     from cmperiods.infinity import InfElem
 
     fld = Fq.get(3, 1, 1)
     v = InfElem(fld, 1, {k: 1 + k % 2 for k in range(-2, 40)}, 40)
-    ok, mixed = tmp_path / "ok.json", tmp_path / "mixed.json"
-    ok.write_text(json.dumps([v.to_json(), v.mono_mul(2, -1).to_json()]))
-    mixed.write_text(json.dumps([v.to_json(), dict(v.to_json(), var="t")]))
-    code, _ = run_cli(["relhunt", "--values", str(ok), "--deg", "1", "--height", "2", "--margin", "5"])
+    ok = json.dumps([v.to_json(), v.mono_mul(2, -1).to_json()])
+    code, _ = run_cli(_relhunt_values(tmp_path, "ok.json", ok))
     assert code == 0
-    with pytest.raises(ValueError):
-        run_cli(["relhunt", "--values", str(mixed), "--deg", "1", "--height", "2", "--margin", "5"])
+    mixed = json.dumps([v.to_json(), dict(v.to_json(), var="t")])
+    capsys.readouterr()
+    code, out = run_cli(_relhunt_values(tmp_path, "mixed.json", mixed))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not in theta" in err
+
+
+@pytest.mark.parametrize(
+    "text", ["[{\"q\": 3,", "not json at all", ""], ids=["truncated", "text", "empty"]
+)
+def test_relhunt_values_file_that_is_not_json_is_a_usage_error(tmp_path, capsys, text):
+    code, out = run_cli(_relhunt_values(tmp_path, "bad.json", text))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid values file:") and err.count("\n") == 1
 
 
 def test_gamma_pole_exit_code():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -297,6 +298,139 @@ def test_json_round_trip_bit_exact():
     assert obj["var"] == "theta"
     with pytest.raises(ValueError):
         InfElem.from_json(dict(obj, var="t"))
+
+
+def test_from_json_drops_zero_digits_and_digits_past_precision():
+    # a payload is outside input: InfElem(...) filters it, so a zero digit
+    # vector and an exponent >= prec_N leave no coefficient behind
+    obj = InfElem(F9, 2, {-3: 4, 0: 1, 5: 7}, 12).to_json()
+    obj["coeffs"] = [[-3, [1, 1]], [-1, [0, 0]], [0, [1, 0]], [5, [1, 2]], [12, [2, 0]], [40, [0, 1]]]
+    a = InfElem.from_json(obj)
+    assert a.field is F9 and a.e == 2 and a.prec == 12
+    assert a.coeffs == {-3: 4, 0: 1, 5: 7}
+    assert all(a.coeffs.values()) and max(a.coeffs) < a.prec
+    assert a.to_json()["coeffs"] == [[-3, [1, 1]], [0, [1, 0]], [5, [1, 2]]]
+    obj["coeffs"] = [[0, [0, 0]], [12, [1, 0]]]
+    z = InfElem.from_json(obj)
+    assert z.coeffs == {} and z.prec == 12 and z.to_json()["leading_exponent"] is None
+
+
+# -- InfElem's coefficient loops against per-coefficient references ---------
+
+F4 = Fq.get(2, 1, 2)
+F5_6 = Fq.get(5, 1, 6)  # 15625 elements: past TABLE_MAX, so no log tables
+F16_Q4 = Fq.get(2, 2, 2)  # q = 4: the q^n-power is not the p^n-power
+LOOP_FIELDS = [F2, F3, F4, F9, F257, F4093, F5_6, F16_Q4]
+LOOP_IDS = ["F2", "F3", "F4", "F9", "F257", "F4093", "F5^6", "F16-q4"]
+
+
+def _ref_lift(x, field, e):
+    phi = x.field.embed_into(field)
+    s = e // x.e
+    return {k * s: phi(c) for k, c in x.coeffs.items()}, x.prec * s
+
+
+def _ref_sum(a, b):
+    field = a.field.compositum(b.field)
+    e = a.e * b.e // gcd(a.e, b.e)
+    (ca, pa), (cb, pb) = _ref_lift(a, field, e), _ref_lift(b, field, e)
+    prec = min(pa, pb)
+    out = {}
+    for k in set(ca) | set(cb):
+        s = field.add(ca.get(k, 0), cb.get(k, 0))
+        if s and k < prec:
+            out[k] = s
+    return field, e, out, prec
+
+
+def _ref_product(a, b):
+    f = a.field
+    la = min(a.coeffs, default=a.prec)
+    lb = min(b.coeffs, default=b.prec)
+    prec = min(a.prec + lb, b.prec + la)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            if k1 + k2 < prec:
+                out[k1 + k2] = f.add(out.get(k1 + k2, 0), f.mul(c1, c2))
+    return f, a.e, {k: c for k, c in out.items() if c}, prec
+
+
+def _same(x, ref):
+    field, e, coeffs, prec = ref
+    assert x.field is field and x.e == e and x.prec == prec
+    assert x.coeffs == coeffs
+    # the invariant every result keeps: no zero, no key at or past prec
+    assert all(0 < c < field.size for c in x.coeffs.values())
+    assert all(k < x.prec for k in x.coeffs)
+
+
+def _loop_operands(rng, field, e):
+    """Pairs over one field and e: sparse and dense, mixed precisions, and
+    sums that cancel exactly, down to the top exponent both keep."""
+    for _ in range(6):
+        pa, pb = rng.randrange(5, 70), rng.randrange(5, 70)
+        a = rand_elem(rng, field, e, pa, rng.randrange(-8, 3), rng.choice([0.2, 0.9]))
+        b = rand_elem(rng, field, e, pb, rng.randrange(-8, 3), rng.choice([0.2, 0.9]))
+        yield a, b
+        # b cancels a on every exponent below min(pa, pb) but k, and at the
+        # top kept exponent min(pa, pb) - 1 too
+        top = min(pa, pb) - 1
+        a.coeffs[top] = rng.randrange(1, field.size)
+        k = rng.randrange(-8, top)
+        cancel = {x: field.neg(c) for x, c in a.coeffs.items() if x != k}
+        yield a, InfElem(field, e, cancel, rng.choice([top + 1, top + 9]))
+        yield a, -a
+    # dense pairs past the Kronecker threshold
+    a = rand_elem(rng, field, e, 70, -4, 1.0)
+    b = rand_elem(rng, field, e, 66, -2, 1.0)
+    assert len(a.coeffs) * len(b.coeffs) > 3000
+    yield a, b
+
+
+@pytest.mark.parametrize("field", LOOP_FIELDS, ids=LOOP_IDS)
+def test_coefficient_loops_match_per_coefficient_references(field):
+    rng = random.Random(field.size)
+    f = field
+    for e in (1, 2):
+        for a, b in _loop_operands(rng, f, e):
+            _same(a + b, _ref_sum(a, b))
+            _same(b + a, _ref_sum(a, b))
+            _same(a - b, _ref_sum(a, InfElem(f, e, {k: f.neg(c) for k, c in b.coeffs.items()}, b.prec)))
+            _same(-a, (f, e, {k: f.neg(c) for k, c in a.coeffs.items()}, a.prec))
+            c = rng.randrange(f.size)
+            _same(a.scale(c), (f, e, {k: f.mul(c, v) for k, v in a.coeffs.items() if c}, a.prec))
+            for c in (0, 1, rng.randrange(1, f.size)):
+                shift = rng.randrange(-9, 9)
+                want = {k + shift: f.mul(c, v) for k, v in a.coeffs.items() if c}
+                _same(a.mono_mul(c, shift), (f, e, want, a.prec + shift))
+            for n in (1, 2):
+                s = f.q**n
+                _same(a.frobenius(n), (f, e, {k * s: f.frob_q(c, n) for k, c in a.coeffs.items()}, a.prec * s))
+                # exponents divisible by q^n, with a precision that is not
+                x = InfElem(f, e, {k * s: c for k, c in a.coeffs.items()}, a.prec * s - 1)
+                want = {k: f.frob_q(c, -n) for k, c in a.coeffs.items()}
+                _same(x.frobenius(-n), (f, e, want, -(-x.prec // s)))
+            _same(a * b, _ref_product(a, b))
+            (packed,) = _kronecker_mul([a], [b], 1)
+            _same(packed, _ref_product(a, b))
+
+
+@pytest.mark.parametrize(
+    "small, big, e1, e2",
+    [(F2, F4, 1, 2), (F3, F9, 2, 3), (F9, F9, 1, 4), (F3, F3.compositum(Fq.get(3, 1, 3)), 3, 1), (F4093, F4093, 2, 1)],
+)
+def test_sums_align_unlike_fields_and_ramification(small, big, e1, e2):
+    rng = random.Random(small.size + big.size + e1 + e2)
+    for _ in range(8):
+        a = rand_elem(rng, small, e1, rng.randrange(5, 60), rng.randrange(-6, 2))
+        b = rand_elem(rng, big, e2, rng.randrange(5, 60), rng.randrange(-6, 2))
+        _same(a + b, _ref_sum(a, b))
+        _same(b + a, _ref_sum(a, b))
+        # a lifted copy of -a cancels a exactly
+        field, e, _, _ = _ref_sum(a, b)
+        coeffs, prec = _ref_lift(-a, field, e)
+        _same(a + InfElem(field, e, coeffs, prec), (field, e, {}, prec))
 
 
 # -- the Newton kernels at doubling precision against naive references ------
