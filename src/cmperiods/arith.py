@@ -10,7 +10,8 @@ serialized artifact records the modulus so that reports are reproducible
 without a Conway-polynomial database.
 
 Fields of size at most 2^12 carry discrete-log tables; multiplication in
-larger fields falls back to polynomial arithmetic.
+larger prime fields is mod-p integer arithmetic, and in larger extension
+fields it falls back to polynomial arithmetic.
 
 FPoly is the one polynomial ring over a field's plain ints: polynomial
 roots, irreducibility over F_p and each field's reduction table all run on
@@ -269,6 +270,8 @@ class Fq:
             return 0
         if self._log is not None:
             return self._exp[(self._log[x] + self._log[y]) % (self.size - 1)]
+        if self.n == 1:
+            return x * y % self.p
         return self._raw_mul(x, y)
 
     def inv(self, x):
@@ -276,6 +279,8 @@ class Fq:
             raise ZeroDivisionError("inverse of zero field element")
         if self._log is not None:
             return self._exp[(-self._log[x]) % (self.size - 1)]
+        if self.n == 1:
+            return pow(x, self.p - 2, self.p)
         return self._pow_raw(x, self.size - 2)
 
     def div(self, x, y):
@@ -288,6 +293,8 @@ class Fq:
             return 0 if e else 1
         if self._log is not None:
             return self._exp[(self._log[x] * e) % (self.size - 1)]
+        if self.n == 1:
+            return pow(x, e, self.p)
         return self._pow_raw(x, e)
 
     def frob(self, x, k=1):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .arith import Fq, poly_div_linear, poly_divmod, poly_eval, poly_gcd, poly_norm, poly_taylor
@@ -461,9 +462,21 @@ def _kronecker_mul(a, b, T):
     coefficient trimmed: a digit of a[i] at exponent x is packed only if
     x + lead(b[j]) < prec_{i+j} for some nonzero b[j], and symmetrically
     for b, so trimming drops exactly the digits that cannot reach a kept
-    output digit.  A slot is the narrowest of 8, 16, 32 and 64 bits that
-    holds the accumulation bound (p-1)^2 * n * min(span) * min(len);
-    returns None when even 64 bits do not.
+    output digit.
+
+    Only slots that can hold a digit are packed.  g is the gcd of k - la
+    over the kept exponents k of a and of k - lb over those of b (la, lb
+    the least kept exponents; g = 1 when both operands are monomials), so
+    a series on one residue class mod e, or a q^j-twisted one, packs one
+    slot per g units: exponent k of a goes to slot (k - la)/g of its
+    index, and output slot off of index k is exponent la + lb + g*off,
+    kept while off < ceil((prec_k - la - lb)/g).  A slot is 2n - 1 digits
+    of the narrowest of 8, 16, 32 and 64 bits that holds the accumulation
+    bound (p-1)^2 * n * min(span) * min(len), spans counted in slots;
+    returns None when even 64 bits do not.  Over F_{p^n}, n > 1, a
+    coefficient is packed as one slice of its digits, and a slot is
+    reduced mod p and then read off as an element; both go through tables
+    that live for one call and hold only the values that occur.
     """
     fld = a[0].field
     e = a[0].e
@@ -506,8 +519,18 @@ def _kronecker_mul(a, b, T):
     lb, tb = extent(db)
     if la is None or lb is None:
         return [InfElem._trusted(fld, e, {}, prec_k) for prec_k in precs]
-    span_a = ta - la + 1
-    span_b = tb - lb + 1
+    g = 0
+    for d, lead in [(d, la) for d in da] + [(d, lb) for d in db]:
+        # a dense coefficient shows g = 1 in its first few exponents
+        shift = (-lead).__add__
+        g = gcd(g, *map(shift, islice(d, 4)))
+        if g != 1:
+            g = gcd(g, *map(shift, d))
+        if g == 1:
+            break
+    g = g or 1
+    span_a = (ta - la) // g + 1
+    span_b = (tb - lb) // g + 1
     span = span_a + span_b
     bound = (fld.p - 1) ** 2 * n * min(span_a, span_b) * min(len(a), len(b))
     code = next((c for c in "BHIQ" if bound < 1 << (8 * array(c).itemsize)), None)
@@ -518,19 +541,22 @@ def _kronecker_mul(a, b, T):
     swap = sys.byteorder == "big"  # the packed integers are little-endian
 
     def pack(dicts, lead):
-        # a prime-field coefficient is its own digit
+        # exponent k of index i lands in slot (i*span*g + k - lead) / g; a
+        # prime-field coefficient is its own digit
         slots = array(code, [0]) * nslots
-        digits = fld.digits
+        rows = {}
         for i, d in enumerate(dicts):
-            base_i = i * span - lead
+            base_i = i * span * g - lead
             if n == 1:
                 for k, v in d.items():
-                    slots[base_i + k] = v
+                    slots[(base_i + k) // g] = v
                 continue
             for k, v in d.items():
-                base = (base_i + k) * stride
-                for j, digit in enumerate(digits(v)):
-                    slots[base + j] = digit
+                row = rows.get(v)
+                if row is None:
+                    row = rows[v] = array(code, fld.digits(v))
+                pos = (base_i + k) // g * stride
+                slots[pos: pos + n] = row
         if swap:
             slots.byteswap()
         return _mpz(int.from_bytes(slots, "little"))
@@ -542,22 +568,24 @@ def _kronecker_mul(a, b, T):
     if swap:
         slots.byteswap()
     out = []
-    reduce_digits = fld.reduce_digits
+    elems = {}
     p = fld.p
     base_exp = la + lb
     for k in range(T):
         base = k * span * stride
-        stop = min(span, precs[k] - base_exp)
+        stop = max(0, min(span, (precs[k] - base_exp + g - 1) // g))
+        exps = range(base_exp, base_exp + g * stop, g)
         if n == 1:
-            coeffs_k = {base_exp + off: s % p for off, s in enumerate(slots[base: base + max(stop, 0)]) if s % p}
+            coeffs_k = {x: s % p for x, s in zip(exps, slots[base: base + stop]) if s % p}
         else:
+            region = [s % p for s in slots[base: base + stop * stride]]
             coeffs_k = {}
-            for off in range(stop):
-                vec = slots[base + off * stride: base + (off + 1) * stride]
-                if any(vec):
-                    c = reduce_digits(vec)
-                    if c:
-                        coeffs_k[base_exp + off] = c
+            for x, vec in zip(exps, zip(*[iter(region)] * stride)):
+                c = elems.get(vec)
+                if c is None:
+                    c = elems[vec] = fld.reduce_digits(vec)
+                if c:
+                    coeffs_k[x] = c
         out.append(InfElem._trusted(fld, e, coeffs_k, precs[k]))
     return out
 

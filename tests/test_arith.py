@@ -103,6 +103,26 @@ def test_prime_field_add_neg_match_digit_vectors():
                 assert F.add(x, y) == F._encode([(u + v) % p for u, v in zip(F._decode(x), F._decode(y))])
 
 
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_prime_field_past_the_table_mul_inv_pow(p):
+    # prime fields of more than 2^12 elements carry no log tables and
+    # multiply, invert and raise to powers mod p; the digit-vector product
+    # is the reference
+    F = Fq.get(p, 1, 1)
+    assert F._log is None
+    rng = random.Random(p)
+    xs = [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(300)]
+    for x in xs:
+        y = rng.randrange(p)
+        assert F.mul(x, y) == F._raw_mul(x, y)
+        assert F.inv(x) == F._pow_raw(x, p - 2)
+        assert F.mul(x, F.inv(x)) == 1
+        for e in (0, 1, 2, p - 1, rng.randrange(3, 3 * p)):
+            assert F.pow(x, e) == F._pow_raw(x, e)
+        assert F.pow(x, -3) == F._pow_raw(F._pow_raw(x, p - 2), 3)
+    assert F.mul(0, 5) == F.mul(5, 0) == 0 and F.pow(0, 4) == 0 and F.pow(0, 0) == 1
+
+
 def test_small_extension_add_neg_tables_match_digit_vectors():
     # odd-characteristic extension fields of at most 256 elements add and
     # negate by table; the digit-vector sum is the reference, on every pair

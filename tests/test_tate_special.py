@@ -397,6 +397,110 @@ def test_packed_product_matches_schoolbook(fld, e, twist):
     _assert_same((b * a).coeffs, _schoolbook(b, a))
 
 
+def _on_class(rng, fld, e, lead, step, count, prec):
+    """Random element on lead + step*Z, with count candidate exponents."""
+    coeffs = {lead + step * j: rng.randrange(1, fld.size) for j in range(1, count) if rng.random() < 0.7}
+    coeffs[lead] = rng.randrange(1, fld.size)
+    return InfElem(fld, e, coeffs, prec)
+
+
+STRIDED_FIELDS = [F3, F4093, F9, Fq.get(5, 1, 6)]
+STRIDED_IDS = ["F3", "F4093", "F9", "F5^6"]
+
+
+@pytest.mark.parametrize("fld", STRIDED_FIELDS, ids=STRIDED_IDS)
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("T", [1, 6])
+@pytest.mark.parametrize("shape", ["class", "twist", "monomial", "mixed"])
+def test_packed_strided_product_matches_schoolbook(fld, e, T, shape):
+    from cmperiods.infinity import _kronecker_mul
+
+    rng = random.Random(f"{fld.size}-{e}-{T}-{shape}")
+    # each operand lies on one nonzero residue class mod e, with leads that
+    # move by whole multiples of e along the t-index and precisions on no
+    # class in particular, so the output cut falls between two slots
+    ra, rb = rng.randrange(1, e), rng.randrange(1, e)
+
+    def on_class(r, i):
+        lead = r + e * (rng.randrange(-3, 2) + i)
+        return _on_class(rng, fld, e, lead, e, 9, lead + e * rng.randrange(4, 12) + rng.randrange(e))
+
+    a = TateSeries([on_class(ra, i) for i in range(T)])
+    b = TateSeries([on_class(rb, i) for i in range(T)])
+    if shape == "twist":
+        # a tau-twist puts both operands on one class mod q*e
+        a, b = a.twist(1), b.twist(1)
+    elif shape == "monomial":
+        # a single digit in all of a: the stride is b's alone
+        z = [InfElem(fld, e, {}, 7 * e + i) for i in range(T)]
+        z[T // 2] = InfElem(fld, e, {ra - e: rng.randrange(1, fld.size)}, 5 * e)
+        a = TateSeries(z)
+    elif shape == "mixed":
+        # a dense operand forces one slot per unit on a strided one
+        a = TateSeries([_rand_elem(rng, fld, e, -e + i, 3 * e + i, 6 * e + 2 * i) for i in range(T)])
+    for x, y in [(a, b), (b, a), (a, a)]:
+        packed = _kronecker_mul(x.coeffs, y.coeffs, T)
+        assert packed is not None
+        _assert_same(packed, _schoolbook(x, y))
+
+
+def _cancelling_pair(fld, step, far):
+    """Elements whose product has a zero coefficient at step whose slot sum
+    is a nonzero digit vector, and far-apart digits that widen the slots.
+
+    x * x^(n-1) and -(x^n mod modulus) * 1 meet at exponent step: their
+    digits add up to the modulus, which reduces to 0 in the field."""
+    n, p = fld.n, fld.p
+    c1, d2 = p, p ** (n - 1)
+    c2 = fld.neg(fld.mul(c1, d2))
+    a = InfElem(fld, 1, {0: c1, step: c2, far * step: 1}, (far + 3) * step)
+    b = InfElem(fld, 1, {0: 1, step: d2, far * step: c1}, (far + 2) * step)
+    return a, b
+
+
+F4 = Fq.get(2, 1, 2)
+F16 = Fq.get(2, 1, 4)
+# (field, slot width, far): far sets the strided span, and with it the
+# bound (p-1)^2 * n * span that picks 16, 32 or 64 bits per digit
+EXT_CASES = [
+    (F4, "H", 130),
+    (F9, "H", 40),
+    (F9, "I", 8200),
+    (F16, "H", 70),
+    (Fq.get(3, 1, 8), "H", 10),
+    (Fq.get(3, 1, 8), "I", 2050),
+    (Fq.get(5, 1, 6), "H", 5),
+    (Fq.get(5, 1, 6), "I", 700),
+    (Fq.get(4093, 1, 2), "I", 2),
+    (Fq.get(4093, 1, 2), "Q", 130),
+]
+EXT_IDS = [f"{fld!r}-{w}" for fld, w, _ in EXT_CASES]
+
+
+@pytest.mark.parametrize("fld, width, far", EXT_CASES, ids=EXT_IDS)
+@pytest.mark.parametrize("step", [1, 3])
+def test_packed_extension_digits(fld, width, far, step):
+    from array import array
+
+    from cmperiods.infinity import _kronecker_mul
+
+    a, b = _cancelling_pair(fld, step, far)
+    bound = (fld.p - 1) ** 2 * fld.n * (far + 1)
+    lo = 1 << (8 * array(width).itemsize // 2)
+    assert lo <= bound < lo * lo, "the case sits at its slot width"
+    want = a * b
+    assert step not in want.coeffs
+    (got,) = _kronecker_mul([a], [b], 1)
+    assert got.prec == want.prec and got.coeffs == want.coeffs
+    assert all(got.coeffs.values())
+    # the same digits along a t-series, shifted per index
+    sa = TateSeries([a, a.mono_mul(1, step), InfElem(fld, 1, {}, 50)])
+    sb = TateSeries([b.mono_mul(1, 2 * step), b, b])
+    packed = _kronecker_mul(sa.coeffs, sb.coeffs, 3)
+    _assert_same(packed, _schoolbook(sa, sb))
+    assert all(all(c.coeffs.values()) for c in packed)
+
+
 @pytest.mark.parametrize("fld", PACKED_FIELDS, ids=PACKED_IDS)
 def test_packed_product_trims_whole_coefficients(fld):
     import random
