@@ -464,19 +464,22 @@ def _kronecker_mul(a, b, T):
     for b, so trimming drops exactly the digits that cannot reach a kept
     output digit.
 
-    Only slots that can hold a digit are packed.  g is the gcd of k - la
-    over the kept exponents k of a and of k - lb over those of b (la, lb
-    the least kept exponents; g = 1 when both operands are monomials), so
-    a series on one residue class mod e, or a q^j-twisted one, packs one
-    slot per g units: exponent k of a goes to slot (k - la)/g of its
-    index, and output slot off of index k is exponent la + lb + g*off,
-    kept while off < ceil((prec_k - la - lb)/g).  A slot is 2n - 1 digits
-    of the narrowest of 8, 16, 32 and 64 bits that holds the accumulation
-    bound (p-1)^2 * n * min(span) * min(len), spans counted in slots;
-    returns None when even 64 bits do not.  Over F_{p^n}, n > 1, a
-    coefficient is packed as one slice of its digits, and a slot is
-    reduced mod p and then read off as an element; both go through tables
-    that live for one call and hold only the values that occur.
+    Only exponents on the operands' common stride get a slot.  g is the
+    gcd of k - la over the kept exponents k of a and of k - lb over those
+    of b (la, lb the least kept exponents; g = 1 when both operands are
+    monomials), so a series on one residue class mod e, or a q^j-twisted
+    one, packs one slot per g units: exponent k of a goes to slot
+    (k - la)/g of its index, and output slot off of index k is exponent
+    la + lb + g*off, kept while off < ceil((prec_k - la - lb)/g).  A slot
+    holds 2n - 1 digits, each in the narrowest of 8, 16, 32 and 64 bits
+    that holds the accumulation bound (p-1)^2 * n * min(span) * min(len),
+    spans counted in slots; returns None when even 64 bits do not.
+
+    Over F_{p^n}, n > 1, a coefficient is packed as one slice of its
+    digits, and a slot is reduced mod p and then read off as an element.
+    Both go through tables that live for one call and hold only the values
+    that occur; a whole-field table would hold 16.7M entries for
+    F_{4093^2}.
     """
     fld = a[0].field
     e = a[0].e
