@@ -15,9 +15,9 @@ fields it falls back to polynomial arithmetic.
 
 FPoly is the one polynomial ring over a field's plain ints: polynomial
 roots, irreducibility over F_p and each field's reduction table all run on
-it.  The dense-polynomial toolkit at the end (poly_* and Poly) serves every
-other coefficient ring of the package: the exact scalars of shtuka.py and
-the Puiseux series of infinity.py.
+it.  The dense-polynomial toolkit at the end (poly_*) serves every other
+coefficient ring of the package: the exact scalars of shtuka.py, whose
+WPoly wraps it as a value, and the Puiseux series of infinity.py.
 """
 
 from __future__ import annotations
@@ -262,9 +262,6 @@ class Fq:
         u = self._vec[x] if self._vec is not None else self._decode(x)
         return self._encode([(-d) % self.p for d in u])
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def mul(self, x, y):
         if x == 0 or y == 0:
             return 0
@@ -486,7 +483,7 @@ def poly_roots_in_ext(coeffs, source: Fq, target: Fq, require_all=False):
     Raises TargetTooSmall when require_all is set and some root generates
     a field larger than target.
     """
-    phi = source.embed_into(target) if source is not target else (lambda x: x)
+    phi = source.embed_into(target)
     lifted = [phi(c) for c in coeffs]
     found = poly_roots(lifted, target)
     if require_all:
@@ -624,9 +621,7 @@ class FPoly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        if not a.is_zero():
-            a = a.scale(a.field.inv(a.coeffs[-1]))
-        return a
+        return a.monic()
 
     def monic(self):
         if self.is_zero():
@@ -764,54 +759,3 @@ def poly_inv_mod(f, m):
         raise ZeroDivisionError("not a unit modulo m")
     return poly_scale(sa, a[0].inverse())
 
-
-class Poly:
-    """A polynomial of the toolkit above as a value: coefficients without
-    trailing zeros, in a tagged variable."""
-
-    __slots__ = ("coeffs", "var")
-
-    def __init__(self, coeffs, var):
-        self.coeffs = tuple(poly_norm(coeffs))
-        self.var = var
-
-    def _like(self, coeffs):
-        return Poly(coeffs, self.var)
-
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, o):
-        return self._like(poly_add(self.coeffs, o.coeffs))
-
-    def __neg__(self):
-        return self._like(poly_neg(self.coeffs))
-
-    def __sub__(self, o):
-        return self._like(poly_sub(self.coeffs, o.coeffs))
-
-    def __mul__(self, o):
-        return self._like(poly_mul(self.coeffs, o.coeffs))
-
-    def scale(self, c):
-        return self._like(poly_scale(self.coeffs, c))
-
-    def divmod(self, o):
-        quot, rem = poly_divmod(self.coeffs, o.coeffs)
-        return self._like(quot), self._like(rem)
-
-    def __eq__(self, o):
-        return isinstance(o, Poly) and self.coeffs == o.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(
-            f"({c})*{self.var}^{k}" if k else f"({c})"
-            for k, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        )

@@ -246,8 +246,8 @@ class CMFieldModel:
         for r, mult in roots:
             if mult != 1:
                 raise RamifiedAboveTheta("m(theta, y) is inseparable")
-            rr = r.lift(r.field.compositum(w.field), w.e)
-            ratio = rr / w.lift(rr.field, rr.e)
+            rr, ww = InfElem.align(r, w)
+            ratio = rr / ww
             eps = ratio.lead_coeff()
             if ratio.coeffs != {0: eps} or not rr.field.in_base_q(eps):
                 # coefficient rings richer than F_q[theta][w] are rejected

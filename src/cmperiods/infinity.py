@@ -145,7 +145,7 @@ class InfElem:
         if e % self.e:
             raise ValueError("ramification index must refine the current one")
         s = e // self.e
-        phi = self.field.embed_into(field) if field is not self.field else (lambda x: x)
+        phi = self.field.embed_into(field)
         return InfElem._trusted(field, e, {k * s: phi(c) for k, c in self.coeffs.items()}, self.prec * s)
 
     @staticmethod
@@ -311,8 +311,7 @@ class InfElem:
         g = 0
         for k in self.coeffs:
             g = gcd(g, k)
-        scale = s // gcd(s, g)
-        elem = self.lift(f, self.e * scale) if scale > 1 else self
+        elem = self.lift(f, self.e * (s // gcd(s, g)))
         out = {}
         for k, c in elem.coeffs.items():
             out[k // s] = elem.field.frob(c, -v)
@@ -322,8 +321,7 @@ class InfElem:
         f = self.field
         L = self.lead_exp
         g = gcd(n, L)
-        scale = n // g
-        elem = self.lift(f, self.e * scale) if scale > 1 else self
+        elem = self.lift(f, self.e * (n // g))
         L = elem.lead_exp
         c = elem.coeffs[L]
         fld, croot = _const_nth_root(elem.field, c, n)
@@ -430,7 +428,7 @@ def _const_nth_root(field: Fq, c: int, n: int):
     for mult in range(1, 64 * n + 1):
         mm = field.m * mult
         big = Fq.get(field.p, field.a, mm) if mult > 1 else field
-        cc = field.embed_into(big)(c) if big is not field else c
+        cc = field.embed_into(big)(c)
         order = big.size - 1
         g = gcd(n, order)
         if big.pow(cc, order // g) != 1:
@@ -770,7 +768,7 @@ def _polygon_roots(f, depth=8, min_val=None):
             else:
                 # shift by the first Puiseux term and recurse on the cluster
                 big = const.compositum(cfield)
-                phi = cfield.embed_into(big) if cfield is not big else (lambda x: x)
+                phi = cfield.embed_into(big)
                 shifted = [c.lift(big, e2) for c in lifted]
                 approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted))
                 g = poly_taylor(shifted, approx)
@@ -792,9 +790,9 @@ def _hensel_lift(f, cbar, cfield, mup, e2):
     root is claimed only to that much below the precision of f(y).
     """
     base = f[0].field
-    fld = base.compositum(cfield) if cfield is not base else base
+    fld = base.compositum(cfield)
     lifted = [c.lift(fld, e2) for c in f]
-    phi = cfield.embed_into(fld) if cfield is not fld else (lambda x: x)
+    phi = cfield.embed_into(fld)
     prec = max(c.prec for c in lifted)
     vmin = min(c.lead_exp + mup * i for i, c in enumerate(lifted) if not c.is_zero())
     y = InfElem(fld, e2, {mup: phi(cbar)}, prec)

@@ -27,7 +27,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import FPoly, Fq, Poly, poly_eval, poly_inv_mod
+from .arith import (
+    FPoly,
+    Fq,
+    poly_add,
+    poly_divmod,
+    poly_eval,
+    poly_inv_mod,
+    poly_mul,
+    poly_neg,
+    poly_norm,
+    poly_scale,
+    poly_sub,
+)
 from .cmtypes import CMDivisor, CMFieldModel
 from .errors import (
     BasisExpansionFailure,
@@ -175,7 +187,7 @@ class WRing:
         cached = self._roots.get(key)
         if cached is None:
             uval = InfElem.from_poly(self.cfield, self.u.coeffs, prec)
-            cached = inf_nth_root(uval, self.E) if self.E > 1 else uval
+            cached = inf_nth_root(uval, self.E)
             self._roots[key] = cached
         return cached
 
@@ -250,25 +262,61 @@ class WElem:
         return " + ".join(parts) or "0"
 
 
-class WPoly(Poly):
-    """Polynomial over a WRing in a tagged variable (t by default)."""
+class WPoly:
+    """Polynomial over a WRing, in t or, for h and its unfolding, in y;
+    coefficients without trailing zeros, on the dense toolkit of arith."""
 
-    __slots__ = ("ring",)
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, coeffs, var="t"):
-        super().__init__(coeffs, var)
+    def __init__(self, ring, coeffs):
         self.ring = ring
-
-    def _like(self, coeffs):
-        return WPoly(self.ring, coeffs, self.var)
+        self.coeffs = tuple(poly_norm(coeffs))
 
     @staticmethod
-    def const(ring, c: WElem, var="t"):
-        return WPoly(ring, [c], var)
+    def const(ring, c: WElem):
+        return WPoly(ring, [c])
 
     @staticmethod
-    def x(ring, var="t"):
-        return WPoly(ring, [ring.zero(), ring.one()], var)
+    def x(ring):
+        return WPoly(ring, [ring.zero(), ring.one()])
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, o):
+        return WPoly(self.ring, poly_add(self.coeffs, o.coeffs))
+
+    def __neg__(self):
+        return WPoly(self.ring, poly_neg(self.coeffs))
+
+    def __sub__(self, o):
+        return WPoly(self.ring, poly_sub(self.coeffs, o.coeffs))
+
+    def __mul__(self, o):
+        return WPoly(self.ring, poly_mul(self.coeffs, o.coeffs))
+
+    def scale(self, c):
+        return WPoly(self.ring, poly_scale(self.coeffs, c))
+
+    def divmod(self, o):
+        quot, rem = poly_divmod(self.coeffs, o.coeffs)
+        return WPoly(self.ring, quot), WPoly(self.ring, rem)
+
+    def __eq__(self, o):
+        return isinstance(o, WPoly) and self.coeffs == o.coeffs
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        return " + ".join(
+            f"({c})*t^{k}" if k else f"({c})"
+            for k, c in enumerate(self.coeffs)
+            if not c.is_zero()
+        )
 
     def realize_at_theta(self, prec):
         """Exact evaluation at t = theta, then into the series field."""
@@ -309,13 +357,13 @@ def _unfold(ypows, u_t):
         raise UnsupportedGenus("u(t) must be linear in t for the y-rewrite")
     u0, u1 = u_t.coeffs
     u1inv = u1.inverse()
-    t_as_y = WPoly(ring, [(-u0) * u1inv] + [ring.zero()] * (len(ypows) - 1) + [u1inv], var="y")
-    y = WPoly.x(ring, var="y")
-    acc = WPoly(ring, [], var="y")
+    t_as_y = WPoly(ring, [(-u0) * u1inv] + [ring.zero()] * (len(ypows) - 1) + [u1inv])
+    y = WPoly.x(ring)
+    acc = WPoly(ring, [])
     for c in reversed(ypows):
         acc = acc * y
         if not c.is_zero():
-            acc = acc + poly_eval([WPoly.const(ring, a, var="y") for a in c.coeffs], t_as_y)
+            acc = acc + poly_eval([WPoly.const(ring, a) for a in c.coeffs], t_as_y)
     return acc
 
 
@@ -384,7 +432,7 @@ def _linear_factors(model: CMFieldModel, xi: CMDivisor):
     on Kummer models and nu = w elsewhere, and the zeros it was built from."""
     ring, _ = _model_wring(model)
     w = ring.w()
-    h = WPoly.const(ring, ring.one(), var="y")
+    h = WPoly.const(ring, ring.one())
     zeros = {}
     for pt in model.points():
         m = xi[pt.label]
@@ -392,7 +440,7 @@ def _linear_factors(model: CMFieldModel, xi: CMDivisor):
             continue
         zeros[pt.label] = m
         nu = w if pt.epsilon is None else ring.scalar(pt.epsilon) * w
-        lin = WPoly(ring, [-nu, ring.one()], var="y")
+        lin = WPoly(ring, [-nu, ring.one()])
         for _ in range(m):
             h = h * lin
     return h, zeros

@@ -23,8 +23,6 @@ def _theta_root_setup(q, prec_val):
     p, a = q_split(q)
     base = Fq.get(p, a, 1)
     minus_theta = InfElem.theta(base, prec_val).scale(base.neg(1))
-    if q == 2:
-        return minus_theta
     return inf_nth_root(minus_theta, q - 1)
 
 

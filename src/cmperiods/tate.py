@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .errors import NoDecay
-from .infinity import InfElem, _kronecker_mul, align_all
+from .infinity import InfElem, _add_into, _kronecker_mul, _mapped, align_all
 
 
 class Decay:
@@ -101,11 +101,6 @@ class TateSeries:
         return self.coeffs[0].e
 
     @staticmethod
-    def constant(x: InfElem, T):
-        z = InfElem(x.field, x.e, {}, x.prec)
-        return TateSeries([x] + [z] * (T - 1))
-
-    @staticmethod
     def poly(coeffs, T):
         """Pad an InfElem list with exact zeros up to length T."""
         c0 = coeffs[0]
@@ -152,9 +147,6 @@ class TateSeries:
             out.append(acc)
         return TateSeries(out, decay)
 
-    def scale(self, x: InfElem):
-        return TateSeries([c * x for c in self.coeffs], self.decay)
-
     def twist(self, n):
         """Coefficientwise q^n-power Frobenius (t is fixed)."""
         q = self.field.q
@@ -177,7 +169,7 @@ class TateSeries:
             T2 = min(2 * x.T, self.T)
             a = self.truncate_T(T2)
             xx = TateSeries.poly(list(x.coeffs), T2)
-            two_s = TateSeries.constant(two, T2)
+            two_s = TateSeries.poly([two], T2)
             x = xx * (two_s - a * xx)
         return x
 
@@ -191,15 +183,8 @@ class TateSeries:
         prec = min(min(c.prec - e * i for i, c in enumerate(self.coeffs)), int(self.decay.tail_min(self.T) * e))
         out = {}
         for i, c in enumerate(self.coeffs):
-            for k, v in c.coeffs.items():
-                k -= e * i
-                if k < prec:
-                    s = f.add(out.get(k, 0), v)
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return InfElem(f, e, out, prec)
+            _add_into(out, _mapped(f, c.coeffs, 1, -e * i), prec, f)
+        return InfElem._trusted(f, e, out, prec)
 
     def residual_val(self):
         return min(c.residual_val() for c in self.coeffs)

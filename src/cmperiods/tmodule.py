@@ -40,8 +40,10 @@ class TModule:
 
     def __init__(self, coeffs, cm_action=None, name=None):
         self.coeffs, fld, e = align_all(coeffs)
-        theta = InfElem.theta(fld, self.coeffs[0].prec // e, e)
-        if not (self.coeffs[0] - theta).is_zero():
+        # the working precision, in valuation units, and theta at it
+        self.prec = self.coeffs[0].prec // e
+        self.theta = InfElem.theta(fld, self.prec, e)
+        if not (self.coeffs[0] - self.theta).is_zero():
             raise ValueError("degree-zero term of rho_t must be theta")
         self.field = fld
         self.e = e
@@ -78,10 +80,8 @@ class TModule:
         """E_0..E_{i_max} of exp(z) = sum E_i z^(q^i), solved from
         exp(theta z) = rho_t(exp z) degree by degree."""
         if self._exp is None or len(self._exp) <= i_max:
-            fld, e = self.field, self.e
-            prec = self.coeffs[0].prec // e
+            fld, e, prec, theta = self.field, self.e, self.prec, self.theta
             es = self._exp or [InfElem.const(fld, 1, prec, e)]
-            theta = InfElem.theta(fld, prec, e)
             for i in range(len(es), i_max + 1):
                 acc = None
                 for j in range(1, min(i, self.rank) + 1):
@@ -102,10 +102,8 @@ class TModule:
     def log_coeffs(self, i_max):
         """Compositional inverse coefficients: exp(log z) = z."""
         if self._log is None or len(self._log) <= i_max:
-            fld, e = self.field, self.e
-            prec = self.coeffs[0].prec // e
             es = self.exp_coeffs(i_max)
-            ls = self._log or [InfElem.const(fld, 1, prec, e)]
+            ls = self._log or [InfElem.const(self.field, 1, self.prec, self.e)]
             for k in range(len(ls), i_max + 1):
                 acc = None
                 for i in range(1, k + 1):
@@ -237,9 +235,8 @@ class TModule:
         two consecutive depths agree at precision the value is accepted;
         60 depths without agreement give up.
         """
-        theta = InfElem.theta(self.field, self.coeffs[0].prec // self.e, self.e)
         x = x1
-        scale = theta
+        scale = self.theta
         lam = None
         for _ in range(60):
             try:
@@ -252,7 +249,7 @@ class TModule:
                     return cand
                 lam = cand
             x = self.division_step(x)
-            scale = scale * theta
+            scale = scale * self.theta
         raise ChainNotConverging("no stable period along this chain")
 
     def period_lattice(self):
@@ -294,8 +291,7 @@ def _reduction(a, b):
     dv = a.val() - b.val()
     if dv < 0 or dv.denominator != 1:
         return None
-    bb = b.lift(b.field.compositum(a.field), lcm(b.e, a.e))
-    aa = a.lift(bb.field, bb.e)
+    bb, aa = InfElem.align(b, a)
     ratio = aa.field.div(aa.lead_coeff(), bb.lead_coeff())
     if not aa.field.in_base_q(ratio):
         return None
@@ -379,7 +375,7 @@ def agf(module: TModule, lam: InfElem, j: int, T: int):
     e = lcm(module.e, lam.e)
     if lam.is_zero():
         return TateSeries([InfElem(fld, e, {}, lam.prec)] * T, Decay("linear", 0, 1)).twist(j)
-    theta_inv = InfElem.theta(fld, module.coeffs[0].prec // module.e, e).inverse()
+    theta_inv = module.theta.lift(fld, e).inverse()
     z0 = lam.lift(fld, e) * theta_inv
     alphas = {}
     # declared bound: beyond the chain entry the exponential preserves
@@ -462,7 +458,7 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     else:
         psi_inv_theta = ct_theta
     psi = psi_minus.twist(1)
-    phi_t = motive.phi_tate(T, prec or (module.coeffs[0].prec // module.e))
+    phi_t = motive.phi_tate(T, prec or module.prec)
     report = check_difference_eq(phi_t, psi, threshold=threshold, psi_minus=psi_minus)
     if threshold is not None and not report["pass"]:
         raise ConsistencyFailure(

@@ -433,6 +433,20 @@ def test_sums_align_unlike_fields_and_ramification(small, big, e1, e2):
         _same(a + InfElem(field, e, coeffs, prec), (field, e, {}, prec))
 
 
+@pytest.mark.parametrize("field, e", [(F3, 1), (F9, 1), (F4, 2), (F4093, 3)], ids=["F3", "F9", "F4-e2", "F4093-e3"])
+def test_helpers_own_the_identity_shortcut(field, e):
+    # callers pass the field they already have, the same e and n = 1
+    # straight to these helpers, with no guard of their own
+    rng = random.Random(field.size + e)
+    phi = field.embed_into(field)
+    assert all(phi(x) == x for x in rng.sample(range(field.size), min(field.size, 50)))
+    assert field.compositum(field) is field
+    x = rand_elem(rng, field, e)
+    assert x.lift(x.field, x.e) is x
+    assert x.nth_root(1) is x
+    assert inf_nth_root(x, 1) is x
+
+
 # -- the Newton kernels at doubling precision against naive references ------
 
 NEWTON_FIELDS = [F2, F3, F9, F257, F4093]

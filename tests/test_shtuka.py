@@ -87,9 +87,9 @@ def test_sigma_ideal_pass_and_planted_defect():
     # plant a defect in Phi's rows: multiply h by the conjugate linear
     # factor (y + w), so that row j is y^j h (y + w)
     ring, u_t = _model_wring(fx.model)
-    bad = _unfold(fx.motive.phi[0], u_t) * WPoly(ring, [ring.w(), ring.one()], var="y")
+    bad = _unfold(fx.motive.phi[0], u_t) * WPoly(ring, [ring.w(), ring.one()])
     fx.motive.phi = [
-        _fold(bad * WPoly(ring, [ring.zero()] * j + [ring.one()], var="y"), u_t, ring.E)
+        _fold(bad * WPoly(ring, [ring.zero()] * j + [ring.one()]), u_t, ring.E)
         for j in range(ring.E)
     ]
     assert not sigma_ideal_check(fx.motive)["pass"]

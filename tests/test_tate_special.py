@@ -53,7 +53,7 @@ def test_twist_simple():
     tw = tate_twist(f, 1)
     assert tw.coeffs[1].coeffs == {-3: 1}
     # constants are fixed
-    c = TateSeries.constant(InfElem.const(F3, 2, 40), 4)
+    c = TateSeries.poly([InfElem.const(F3, 2, 40)], 4)
     assert tate_twist(c, 5).coeffs[0].coeffs == {0: 2}
 
 
@@ -91,31 +91,54 @@ def test_eval_theta_geometric():
     assert ((val - expect)).residual_val() >= 25
 
 
-@pytest.mark.parametrize("p, n, e, B, span", [(3, 1, 1, 2, 60), (3, 2, 2, 2, 90), (2, 1, 3, 5, 40), (5, 1, 1, 3, 25)])
+@pytest.mark.parametrize(
+    "p, n, e, B, span",
+    [
+        (3, 1, 1, 2, 60),
+        (3, 2, 2, 2, 90),
+        (2, 1, 3, 5, 40),
+        (5, 1, 1, 3, 25),
+        (2, 2, 2, 2, 60),  # F_4: the XOR branch
+        (3, 6, 1, 2, 40),  # F_{3^6}: no addition table, Fq.add
+        (4099, 1, 2, 2, 40),  # a prime field past the log tables
+    ],
+)
 def test_eval_theta_matches_pairwise_sums(p, n, e, B, span):
-    # the earlier evaluation adds one shifted coefficient at a time, each
-    # sum keeping the smaller precision, and truncates to the tail bound;
-    # coefficients of mixed precision, one of them zero, some sums that
-    # cancel, with the tail bound above and below the smallest precision
+    # the reference adds one shifted coefficient at a time through Fq.add
+    # and lets the filtering constructor drop the zeros and the keys at or
+    # past the precision; coefficients of mixed precision, one of them
+    # zero, planted sums that cancel, the tail bound above and below the
+    # smallest shifted precision
     F = Fq.get(p, n, 1)
-    rng = random.Random(p * 100 + e)
+    rng = random.Random(p * 100 + n * 10 + e)
     T = 14
-    coeffs = []
+    dicts, precs = [], []
     for i in range(T):
         lo = B * i * e
-        prec = lo + rng.randrange(span * e // 2, span * e)
-        if i == 5:
-            coeffs.append(InfElem(F, e, {}, prec))
+        precs.append(lo + rng.randrange(span * e // 2, span * e))
+        dicts.append({} if i == 5 else {k: rng.randrange(F.size) for k in range(lo, precs[-1]) if rng.random() < 0.6})
+    # make the whole shifted sum at some keys j cancel in its last term
+    for j in rng.sample(range(span * e // 2), 12):
+        terms = [i for i in range(T) if j + e * i in dicts[i]]
+        if len(terms) < 2:
             continue
-        coeffs.append(InfElem(F, e, {k: rng.randrange(F.size) for k in range(lo, prec) if rng.random() < 0.6}, prec))
+        rest = 0
+        for i in terms[:-1]:
+            rest = F.add(rest, dicts[i][j + e * i])
+        dicts[terms[-1]][j + e * terms[-1]] = F.neg(rest)
+    coeffs = [InfElem(F, e, d, prec) for d, prec in zip(dicts, precs)]
     for A in (0, -8, 30):
         f = TateSeries(coeffs, Decay("linear", A, B))
-        acc = None
+        prec = min(min(c.prec - e * i for i, c in enumerate(f.coeffs)), int(f.decay.tail_min(T) * e))
+        out = {}
         for i, c in enumerate(f.coeffs):
-            term = c.mono_mul(1, -e * i)
-            acc = term if acc is None else acc + term
-        ref = acc.truncate(int(f.decay.tail_min(T) * e))
-        assert f.eval_theta().to_json() == ref.to_json()
+            for k, v in c.coeffs.items():
+                out[k - e * i] = F.add(out.get(k - e * i, 0), v)
+        assert any(not v for v in out.values())
+        ref = InfElem(F, e, out, prec)
+        got = f.eval_theta()
+        assert got.to_json() == ref.to_json()
+        assert all(got.coeffs.values()) and all(k < prec for k in got.coeffs)
 
 
 def test_eval_theta_requires_decay():
@@ -251,7 +274,7 @@ def test_omega_constant_term_and_planted_defect():
     c0 = om.coeffs[0]
     assert c0.val() == Fraction(3, 2)
     # planted defect: Omega + 1 must fail loudly
-    one_series = TateSeries.constant(InfElem.const(om.field, 1, 80, om.e), om.T)
+    one_series = TateSeries.poly([InfElem.const(om.field, 1, 80, om.e)], om.T)
     bad = om + one_series
     tpoly = TateSeries.poly(
         [InfElem.theta(om.field, 240, om.e).scale(om.field.neg(1)),
