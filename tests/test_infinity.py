@@ -444,7 +444,6 @@ def test_helpers_own_the_identity_shortcut(field, e):
     x = rand_elem(rng, field, e)
     assert x.lift(x.field, x.e) is x
     assert x.nth_root(1) is x
-    assert inf_nth_root(x, 1) is x
 
 
 # -- the Newton kernels at doubling precision against naive references ------
