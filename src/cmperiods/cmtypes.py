@@ -22,7 +22,6 @@ on the precision of the point values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .arith import Fq, poly_roots_in_ext, q_split
 from .errors import (
@@ -362,10 +361,8 @@ def _places_from_roots(roots):
         for k, other in enumerate(roots):
             if used[k]:
                 continue
-            lifted = other.lift(other.field.compositum(field), lcm(other.e, e))
             for img in images:
-                img2 = img.lift(lifted.field, lifted.e)
-                if (img2 - lifted).is_zero():
+                if (img - other).is_zero():
                     used[k] = True
                     orbit.append(k)
                     break

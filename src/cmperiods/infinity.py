@@ -13,9 +13,10 @@ no key is >= prec.  InfElem(...) enforces this by filtering what it is
 given, as outside input needs; the ring operations build results that
 already hold it once, with InfElem._trusted, and add and multiply
 coefficients in the field's own representation (_add_into, _mapped).
-Dense multiplications, of InfElems and of whole t-series alike
-(tate.py), go through one Kronecker packing kernel so that big products
-cost one Python long multiplication instead of a quadratic dict loop.
+Every t-series product (tate.py) and every InfElem product past a size
+threshold go through one Kronecker packing kernel: one Python long
+multiplication in place of a quadratic dict loop.  The kernel never
+declines a product; see _kronecker_mul for the one case it raises on.
 
 CM-field validation reads the same series as elements of F_q((1/t)),
 with t in place of theta.  Its roots never meet a theta-series, so a
@@ -198,9 +199,7 @@ class InfElem:
         if not a.coeffs or not b.coeffs:
             return InfElem._trusted(f, a.e, {}, prec)
         if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
-            packed = _kronecker_mul([a], [b], 1)
-            if packed is not None:
-                return packed[0]
+            return _kronecker_mul([a], [b], 1)[0]
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
         out = {}
@@ -471,7 +470,9 @@ def _kronecker_mul(a, b, T):
     la + lb + g*off, kept while off < ceil((prec_k - la - lb)/g).  A slot
     holds 2n - 1 digits, each in the narrowest of 8, 16, 32 and 64 bits
     that holds the accumulation bound (p-1)^2 * n * min(span) * min(len),
-    spans counted in slots; returns None when even 64 bits do not.
+    spans counted in slots.  For p <= 2^16 the bound is below 2^31 * nslots,
+    so a slot past 64 bits means over 2^33 slots, 64 GiB of array: the
+    kernel raises OverflowError there, and never declines a product.
 
     Over F_{p^n}, n > 1, a coefficient is packed as one slice of its
     digits, and a slot is reduced mod p and then read off as an element.
@@ -536,7 +537,8 @@ def _kronecker_mul(a, b, T):
     bound = (fld.p - 1) ** 2 * n * min(span_a, span_b) * min(len(a), len(b))
     code = next((c for c in "BHIQ" if bound < 1 << (8 * array(c).itemsize)), None)
     if code is None:
-        return None
+        # bound < 2^31 * nslots for p <= 2^16, so here nslots > 2^33 (64 GiB)
+        raise OverflowError("Kronecker slots past 64 bits need over 2^33 slots")
     nslots = T * span * stride
     size = nslots * array(code).itemsize
     swap = sys.byteorder == "big"  # the packed integers are little-endian

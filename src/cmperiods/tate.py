@@ -131,21 +131,8 @@ class TateSeries:
         decay = None
         if self.decay is not None and other.decay is not None:
             decay = self.decay.combine_mul(other.decay)
-        nnz_a = sum(1 for c in a if not c.is_zero())
-        nnz_b = sum(1 for c in b if not c.is_zero())
-        same = a[0].field is b[0].field and a[0].e == b[0].e
-        if min(nnz_a, nnz_b) > 4 and same:
-            packed = _kronecker_mul(a, b, T)
-            if packed is not None:
-                return TateSeries(packed, decay)
-        out = []
-        for k in range(T):
-            acc = None
-            for i in range(k + 1):
-                t = a[i] * b[k - i]
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return TateSeries(out, decay)
+        ab = align_all(a + b)[0]
+        return TateSeries(_kronecker_mul(ab[:T], ab[T:], T), decay)
 
     def twist(self, n):
         """Coefficientwise q^n-power Frobenius (t is fixed)."""
@@ -185,9 +172,6 @@ class TateSeries:
         for i, c in enumerate(self.coeffs):
             _add_into(out, _mapped(f, c.coeffs, 1, -e * i), prec, f)
         return InfElem._trusted(f, e, out, prec)
-
-    def residual_val(self):
-        return min(c.residual_val() for c in self.coeffs)
 
     def check_decay(self):
         """Every recorded coefficient respects the declared descriptor."""
@@ -264,13 +248,6 @@ class TateMatrix:
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
 
     def __matmul__(self, other: "TateMatrix"):
         return TateMatrix(mat_mul(self.rows, other.rows))

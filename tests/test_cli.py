@@ -179,3 +179,79 @@ def test_const_ext_3_is_a_cli_example(tmp_path):
     assert json.loads(out.read_text())["payload"]["within_bounds"]
     assert main(["cm", "rank", *args]) == 0
     assert json.loads(out.read_text())["payload"]["rank_ik0"]["rank"] == 3
+
+
+def _payload(tmp_path, args):
+    out = tmp_path / "out.json"
+    code = main([*args, "--json", "--out", str(out)])
+    return code, json.loads(out.read_text())["payload"]
+
+
+def test_agf_payload(tmp_path):
+    code, payload = _payload(tmp_path, ["agf", "--example", "carlitz", "--prec", "60", "--trunc", "12"])
+    assert code == 0
+    decay = payload["decay"]
+    assert decay["kind"] == "linear" and decay["A"] == [-3, 2] and decay["B"] == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "example, q, xi, rank",
+    [("kummer-t:3", "3", "xi0", 2), ("kummer-t:5", "5", "xi0:2,xi1", 4)],
+    ids=["kummer-t:3", "kummer-t:5"],
+)
+def test_cm_rank_of_a_divisor(tmp_path, example, q, xi, rank):
+    # --xi goes through _parse_divisor, with and without multiplicities
+    code, payload = _payload(tmp_path, ["cm", "rank", "--example", example, "--q", q, "--xi", xi])
+    assert code == 0
+    assert payload["rank_orbit"] == rank
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_cm_xi0_constant_extension(tmp_path, ell):
+    # the constant-extension branch of automorphism_maps
+    code, payload = _payload(tmp_path, ["cm", "xi0", "--example", f"const-ext:{ell}"])
+    assert code == 0
+    assert payload["orbit_rank"] == payload["ik0_rank"] == ell
+
+
+def _single_value(tmp_path, value, *extra):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps([value.to_json()]))
+    return _payload(tmp_path, ["relhunt", "--values", str(path), *extra])
+
+
+def test_relhunt_single_value_runs_the_algebraic_search(tmp_path):
+    from cmperiods.arith import Fq
+    from cmperiods.infinity import InfElem
+    from cmperiods.special import carlitz_period
+
+    fld = Fq.get(3, 1, 1)
+    theta = InfElem.theta(fld, 300)
+    one, two = InfElem.const(fld, 1, 300), InfElem.const(fld, 2, 300)
+    code, payload = _single_value(tmp_path, (theta + one) * (theta + two).inverse())
+    assert code == 0 and payload["found"]
+    cert = json.loads((tmp_path / "out.json").read_text())["certificates"][0]
+    assert cert["degree"] == 1
+    code, payload = _single_value(tmp_path, (theta + one).nth_root(2), "--require-pass")
+    assert code == 0 and payload["found"]
+    assert json.loads((tmp_path / "out.json").read_text())["certificates"][0]["degree"] == 2
+    code, payload = _single_value(tmp_path, carlitz_period(3, 200), "--require-pass")
+    assert code == 4 and not payload["found"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the margin rule counts every row of the window, but pi's powers at e 2 over F_9 "
+    "fall into 4 blocks (2 classes mod e times 2 digits); pi^0, pi^2, pi^4 share a block "
+    "of about 121 rows against their 123 unknowns",
+)
+def test_relhunt_pi_at_prec_120_certifies_nothing(tmp_path):
+    # pi is transcendental, so no relation of degree 4 and height 40 holds
+    code, out = run_cli(["pitilde", "--q", "3", "--prec", "120", "--json"])
+    assert code == 0
+    from cmperiods.infinity import InfElem
+
+    pi = InfElem.from_json(json.loads(out)["payload"]["pi"])
+    code, payload = _single_value(tmp_path, pi, "--deg", "4", "--height", "40", "--margin", "20")
+    assert code == 0
+    assert not payload["found"]

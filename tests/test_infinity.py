@@ -194,6 +194,22 @@ def test_packed_mul_matches_naive():
         assert (a * b).coeffs == naive
 
 
+def test_kronecker_mul_raises_past_64_bit_slots():
+    # at p <= 2^16 a slot past 64 bits means over 2^33 slots; the kernel
+    # raises before it allocates any, and never declines a product
+    from cmperiods.tate import TateSeries
+
+    fld = Fq.get(65521, 1, 1)
+    far = 1 << 40
+    a = InfElem(fld, 1, {0: 1, 1: 2, far: 3}, far + 1)
+    with pytest.raises(OverflowError):
+        _kronecker_mul([a], [a], 1)
+    with pytest.raises(OverflowError):
+        TateSeries([a]) * TateSeries([a])
+    # an InfElem product of so few digits takes the dict loop
+    assert (a * a).coeffs == {0: 1, 1: 4, 2: 4, far: 6}
+
+
 def test_newton_roots_quadratic_ramified():
     # y^2 + theta over F_3: the two square roots of -theta; oracle is
     # substitution

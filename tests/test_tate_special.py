@@ -392,6 +392,7 @@ def _rand_elem(rng, fld, e, lo, hi, prec):
 def _assert_same(got, want):
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):
+        assert g.field is w.field and g.e == w.e, f"index {k}: field or ramification differs"
         assert g.prec == w.prec, f"index {k}: prec {g.prec} != {w.prec}"
         assert g.coeffs == w.coeffs, f"index {k}: coefficients differ"
 
@@ -414,7 +415,6 @@ def test_packed_product_matches_schoolbook(fld, e, twist):
     )
     b = TateSeries([_rand_elem(rng, fld, e, -2 * e + i, 3 * e + i, 8 * e + 5 * i) for i in range(T)])
     packed = _kronecker_mul(a.coeffs, b.coeffs, T)
-    assert packed is not None
     _assert_same(packed, _schoolbook(a, b))
     _assert_same((a * b).coeffs, _schoolbook(a, b))
     _assert_same((b * a).coeffs, _schoolbook(b, a))
@@ -463,7 +463,6 @@ def test_packed_strided_product_matches_schoolbook(fld, e, T, shape):
         a = TateSeries([_rand_elem(rng, fld, e, -e + i, 3 * e + i, 6 * e + 2 * i) for i in range(T)])
     for x, y in [(a, b), (b, a), (a, a)]:
         packed = _kronecker_mul(x.coeffs, y.coeffs, T)
-        assert packed is not None
         _assert_same(packed, _schoolbook(x, y))
 
 
@@ -552,8 +551,29 @@ def test_packed_product_trims_whole_coefficients(fld):
 
 
 def test_product_of_unlike_ramification():
-    # the packed path needs one ramification index; e = 1 times e = 2
-    # must align every coefficient, as the schoolbook loop does
-    a = TateSeries([InfElem(F3, 1, {0: 1, 1: 2}, 20) for _ in range(6)])
-    b = TateSeries([InfElem(F3, 2, {0: 1, 1: 1}, 40) for _ in range(6)])
-    _assert_same((a * b).coeffs, _schoolbook(a, b))
+    # the kernel needs one field and ramification index, so a product
+    # aligns both operands first; every shape a product meets in build_psi
+    # goes through it: unlike e, unlike constant fields, a sparse Phi-like
+    # operand, a constant and an all-zero one
+    rng = random.Random(554)
+    F3_2 = Fq.get(3, 1, 2)
+    T = 6
+
+    def dense(fld, e):
+        return TateSeries([_rand_elem(rng, fld, e, -e + i, 4 * e + i, 9 * e + 2 * i) for i in range(T)])
+
+    theta = InfElem.theta(F3, 12)
+    one = InfElem.const(F3, 1, 12)
+    cases = [
+        (
+            TateSeries([InfElem(F3, 1, {0: 1, 1: 2}, 20) for _ in range(T)]),
+            TateSeries([InfElem(F3, 2, {0: 1, 1: 1}, 40) for _ in range(T)]),
+        ),
+        (dense(F3, 1), dense(F3_2, 4)),
+        (TateSeries.poly([-theta, one], T), dense(F3, 1)),
+        (TateSeries.poly([InfElem.const(F3, 2, 10)], T), dense(F3, 2)),
+        (TateSeries([InfElem(F3_2, 1, {}, 15 + i) for i in range(T)]), dense(F3_2, 4)),
+    ]
+    for a, b in cases:
+        _assert_same((a * b).coeffs, _schoolbook(a, b))
+        _assert_same((b * a).coeffs, _schoolbook(b, a))
