@@ -181,16 +181,16 @@ def test_const_ext_3_is_a_cli_example(tmp_path):
     assert json.loads(out.read_text())["payload"]["rank_ik0"]["rank"] == 3
 
 
-def _payload(tmp_path, args):
+def _report(tmp_path, args):
     out = tmp_path / "out.json"
     code = main([*args, "--json", "--out", str(out)])
-    return code, json.loads(out.read_text())["payload"]
+    return code, json.loads(out.read_text())
 
 
 def test_agf_payload(tmp_path):
-    code, payload = _payload(tmp_path, ["agf", "--example", "carlitz", "--prec", "60", "--trunc", "12"])
+    code, rep = _report(tmp_path, ["agf", "--example", "carlitz", "--prec", "60", "--trunc", "12"])
     assert code == 0
-    decay = payload["decay"]
+    decay = rep["payload"]["decay"]
     assert decay["kind"] == "linear" and decay["A"] == [-3, 2] and decay["B"] == [3, 1]
 
 
@@ -201,23 +201,23 @@ def test_agf_payload(tmp_path):
 )
 def test_cm_rank_of_a_divisor(tmp_path, example, q, xi, rank):
     # --xi goes through _parse_divisor, with and without multiplicities
-    code, payload = _payload(tmp_path, ["cm", "rank", "--example", example, "--q", q, "--xi", xi])
+    code, rep = _report(tmp_path, ["cm", "rank", "--example", example, "--q", q, "--xi", xi])
     assert code == 0
-    assert payload["rank_orbit"] == rank
+    assert rep["payload"]["rank_orbit"] == rank
 
 
 @pytest.mark.parametrize("ell", [2, 3])
 def test_cm_xi0_constant_extension(tmp_path, ell):
     # the constant-extension branch of automorphism_maps
-    code, payload = _payload(tmp_path, ["cm", "xi0", "--example", f"const-ext:{ell}"])
+    code, rep = _report(tmp_path, ["cm", "xi0", "--example", f"const-ext:{ell}"])
     assert code == 0
-    assert payload["orbit_rank"] == payload["ik0_rank"] == ell
+    assert rep["payload"]["orbit_rank"] == rep["payload"]["ik0_rank"] == ell
 
 
 def _single_value(tmp_path, value, *extra):
     path = tmp_path / "value.json"
     path.write_text(json.dumps([value.to_json()]))
-    return _payload(tmp_path, ["relhunt", "--values", str(path), *extra])
+    return _report(tmp_path, ["relhunt", "--values", str(path), *extra])
 
 
 def test_relhunt_single_value_runs_the_algebraic_search(tmp_path):
@@ -228,15 +228,12 @@ def test_relhunt_single_value_runs_the_algebraic_search(tmp_path):
     fld = Fq.get(3, 1, 1)
     theta = InfElem.theta(fld, 300)
     one, two = InfElem.const(fld, 1, 300), InfElem.const(fld, 2, 300)
-    code, payload = _single_value(tmp_path, (theta + one) * (theta + two).inverse())
-    assert code == 0 and payload["found"]
-    cert = json.loads((tmp_path / "out.json").read_text())["certificates"][0]
-    assert cert["degree"] == 1
-    code, payload = _single_value(tmp_path, (theta + one).nth_root(2), "--require-pass")
-    assert code == 0 and payload["found"]
-    assert json.loads((tmp_path / "out.json").read_text())["certificates"][0]["degree"] == 2
-    code, payload = _single_value(tmp_path, carlitz_period(3, 200), "--require-pass")
-    assert code == 4 and not payload["found"]
+    for value, degree in [((theta + one) * (theta + two).inverse(), 1), ((theta + one).nth_root(2), 2)]:
+        code, rep = _single_value(tmp_path, value, "--require-pass")
+        assert code == 0 and rep["payload"]["found"]
+        assert rep["certificates"][0]["degree"] == degree
+    code, rep = _single_value(tmp_path, carlitz_period(3, 200), "--require-pass")
+    assert code == 4 and not rep["payload"]["found"]
 
 
 @pytest.mark.xfail(
@@ -247,11 +244,11 @@ def test_relhunt_single_value_runs_the_algebraic_search(tmp_path):
 )
 def test_relhunt_pi_at_prec_120_certifies_nothing(tmp_path):
     # pi is transcendental, so no relation of degree 4 and height 40 holds
-    code, out = run_cli(["pitilde", "--q", "3", "--prec", "120", "--json"])
-    assert code == 0
     from cmperiods.infinity import InfElem
 
-    pi = InfElem.from_json(json.loads(out)["payload"]["pi"])
-    code, payload = _single_value(tmp_path, pi, "--deg", "4", "--height", "40", "--margin", "20")
+    code, out = run_cli(["pitilde", "--q", "3", "--prec", "120", "--json"])
     assert code == 0
-    assert not payload["found"]
+    pi = InfElem.from_json(json.loads(out)["payload"]["pi"])
+    code, rep = _single_value(tmp_path, pi, "--deg", "4", "--height", "40", "--margin", "20")
+    assert code == 0
+    assert not rep["payload"]["found"]

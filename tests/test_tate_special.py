@@ -371,7 +371,8 @@ PACKED_IDS = ["F2", "F3", "F9", "F257", "F4093", "F3^8", "F2^13", "F5^6", "F4093
 
 
 def _schoolbook(a, b):
-    """The coefficient loop of TateSeries.__mul__ without packing."""
+    """The schoolbook t-series product, one InfElem product per index pair:
+    the reference for the Kronecker kernel that TateSeries.__mul__ calls."""
     out = []
     for k in range(min(a.T, b.T)):
         acc = None
