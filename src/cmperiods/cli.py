@@ -348,8 +348,8 @@ def cmd_agf(args, t0):
 def cmd_qp(args, t0):
     fx, lat = _lattice(args)
     config = _field_conventions(fx.model.q)
-    config.update({"prec": args.prec, "trunc": args.trunc})
-    mat = quasi_period_matrix(fx.tmodule, lat, T=max(args.trunc // 2, 16))
+    config["prec"] = args.prec
+    mat = quasi_period_matrix(fx.tmodule, lat)
     payload = {
         "matrix_valuations": [[x.residual_val() for x in row] for row in mat],
         "determinant_valuation": det(mat).val(),
@@ -470,7 +470,7 @@ def build_parser():
     p.set_defaults(fn=cmd_agf)
 
     p = sub.add_parser("qp", help="quasi-period matrix")
-    common(p, trunc=True, example=True)
+    common(p, example=True)
     p.set_defaults(fn=cmd_qp)
 
     p = sub.add_parser("legendre", help="certify the per-fiber period-symbol product")

@@ -22,10 +22,11 @@ from math import lcm
 from .errors import (
     ChainNotConverging,
     ConsistencyFailure,
+    NoDecay,
     PrecisionExhausted,
     SingularRecursion,
 )
-from .infinity import InfElem, align_all, newton_roots
+from .infinity import InfElem, _add_into, align_all, newton_roots
 from .tate import Decay, TateMatrix, TateSeries, check_difference_eq, mat_mul
 
 
@@ -355,6 +356,23 @@ def skew_mul(f, g, q):
 # Anderson generating functions, quasi-periods, trivializations
 
 
+def _chain_terms(module: TModule, lam: InfElem):
+    """z_0 = lam theta^(-1) over the common field and ramification, and
+    alpha(i, E_i) = E_i z_0^(q^i): the i-th exponential term of the chain
+    entry, formed once per i and shared by every coefficient built on it."""
+    fld = module.field.compositum(lam.field)
+    e = lcm(module.e, lam.e)
+    z0 = lam.lift(fld, e) * module.theta.lift(fld, e).inverse()
+    alphas = {}
+
+    def alpha(i, E):
+        if i not in alphas:
+            alphas[i] = E * z0.frobenius(i)
+        return alphas[i]
+
+    return z0, alpha
+
+
 def agf(module: TModule, lam: InfElem, j: int, T: int):
     """The series sum_n m(exp(theta^(-n-1) lam)) t^n for the functional
     m = tau^j, with its derived geometric decay descriptor.
@@ -362,22 +380,21 @@ def agf(module: TModule, lam: InfElem, j: int, T: int):
     Its tau^0 series G has t^n coefficient exp(z_n), z_n = lam theta^(-n-1)
     = z_0 u^(n e): theta^(-1) is one exact monomial, so the chain shifts
     z_0 and its precision alike.  Hence each term E_i z_n^(q^i) of the
-    exponential is alpha_i = E_i z_0^(q^i), formed once per call, shifted
-    by the monomial u^(n e q^i), precision included, and the coefficient
-    is sum_i alpha_i theta^(-n q^i), summed under exp_eval's stopping
-    rule: exp_eval(z_n) digit for digit.
+    exponential is alpha_i = E_i z_0^(q^i) (_chain_terms), shifted by the
+    monomial u^(n e q^i), precision included, and the coefficient is
+    sum_i alpha_i theta^(-n q^i), summed under exp_eval's stopping rule:
+    exp_eval(z_n) digit for digit.
 
     The series is the j-th twist of G: tau^j raises each exponential to
     the q^j-th power, a coefficientwise Frobenius, and the twist scales
     G's descriptor by q^j.
     """
-    fld = module.field.compositum(lam.field)
-    e = lcm(module.e, lam.e)
     if lam.is_zero():
+        fld = module.field.compositum(lam.field)
+        e = lcm(module.e, lam.e)
         return TateSeries([InfElem(fld, e, {}, lam.prec)] * T, Decay("linear", 0, 1)).twist(j)
-    theta_inv = module.theta.lift(fld, e).inverse()
-    z0 = lam.lift(fld, e) * theta_inv
-    alphas = {}
+    z0, alpha = _chain_terms(module, lam)
+    e = z0.e
     # declared bound: beyond the chain entry the exponential preserves
     # valuation, val(a_n) = val(lam) + n + 1
     A = lam.val() + 1
@@ -385,28 +402,52 @@ def agf(module: TModule, lam: InfElem, j: int, T: int):
     for n in range(T):
 
         def shifted(i, E):
-            if i not in alphas:
-                alphas[i] = E * z0.frobenius(i)
-            return alphas[i].mono_mul(1, n * e * module.q**i)
+            return alpha(i, E).mono_mul(1, n * e * module.q**i)
 
         coeffs.append(module._exp_sum(shifted, z0.prec_val + n))
         A = min(A, coeffs[-1].residual_val() - n)
     return TateSeries(coeffs, Decay("linear", A, 1)).twist(j)
 
 
+def _geometric(b: InfElem, s: int):
+    """b / (1 - u^s) for s > 0, exact at b's precision: the running
+    recurrence y_k = b_k + y_(k-s) over [lead, prec), one block of s
+    exponents at a time."""
+    f, prec = b.field, b.prec
+    y = dict(b.coeffs)
+    for lo in range(b.lead_exp + s, prec, s):
+        _add_into(y, {k + s: y[k] for k in range(lo - s, lo) if k in y}, prec, f)
+    return InfElem._trusted(f, b.e, y, prec)
+
+
 def de_rham_pairing(module: TModule, j: int, lam: InfElem):
-    """Quasi-period [delta_j, lam] = <tau^j | G_lam> evaluated at theta."""
+    """Quasi-period [delta_j, lam] = <tau^j | G_lam> at t = theta, with no
+    truncation in t.  The t^n coefficient of G_lam^(j) is sum_i beta_i
+    theta^(-n q^(i+j)), beta_i = alpha_i^(q^j) (_chain_terms), so
+
+        [delta_j, lam] = sum_i beta_i / (1 - u^s),  s = e (q^(i+j) - 1),
+
+    each division exact (_geometric).  The terms are summed under exp_eval's
+    stopping rule with target q^j prec_val(z_0); the stated precision is the
+    least of the summed terms', as the product and Frobenius rules derive
+    it.  For j <= 0, s = 0 at i = 0: G_lam has a pole at t = theta.
+    """
     if lam.is_zero():
         return lam
-    T = int(lam.prec_val // max(module.q**j - 1, 1)) + 8
-    return agf(module, lam, j, T).eval_theta()
+    if j < 1:
+        raise NoDecay("G_lam has a pole at t = theta")
+    z0, alpha = _chain_terms(module, lam)
+    q, e = module.q, z0.e
+    return module._exp_sum(
+        lambda i, E: _geometric(alpha(i, E).frobenius(j), e * (q ** (i + j) - 1)), q**j * z0.prec_val
+    )
 
 
-def quasi_period_matrix(module: TModule, lattice: Lattice, T: int):
-    """[delta_i, lam_j] for i = 1..r over the reduced basis: the i-th
-    twists of one AGF per period, evaluated at theta."""
-    Gs = [agf(module, lam, 0, T) for lam in lattice.vectors]
-    return [[G.twist(i).eval_theta() for G in Gs] for i in range(1, module.rank + 1)]
+def quasi_period_matrix(module: TModule, lattice: Lattice):
+    """[delta_i, lam] for i = 1..r (rows) over the reduced basis
+    (columns), each entry the partial-fraction sum of de_rham_pairing:
+    no truncation in t, each at the precision its sum derives."""
+    return [[de_rham_pairing(module, i, lam) for lam in lattice.vectors] for i in range(1, module.rank + 1)]
 
 
 class PsiBundle:
@@ -450,6 +491,11 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     Gs = [agf(module, lam, 0, T) for lam in lattice.vectors]
     ct_minus = TateMatrix([[-G.twist(i) for i in range(r)] for G in Gs])
     psi_minus = ct_minus.inverse()
+    # C(theta)'s entries are quasi-periods, but they stay the evaluation of
+    # the twisted columns, which are built here anyway.  de_rham_pairing's
+    # sum at its full precision costs more (10 ms against 1-2 ms at prec
+    # 60, T 12) and raises the symbols' precision (21.75 to 57.25 there);
+    # it belongs with cutting the symbols at --prec and exiting 3 below it.
     ct_theta = ct_minus.twist(1).eval_theta()
     if basis_change is not None:
         U_minus, U_inv_theta = basis_change

@@ -223,7 +223,7 @@ def test_criterion_09_legendre_certification(kummer_pipeline):
 def test_criterion_10_de_rham_nondegeneracy(kummer_pipeline):
     fx = kummer_pipeline["fixture"]
     lat = kummer_pipeline["lattice"]
-    mat = quasi_period_matrix(fx.tmodule, lat, T=28)
+    mat = quasi_period_matrix(fx.tmodule, lat)
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     v = det.val()
     assert v is not None

@@ -169,6 +169,7 @@ def test_flags_only_where_read():
     assert main(["periods", "--example", "carlitz", "--model", "fixtures/kummer-t-3.json"]) == 2
     assert main(["pitilde", "--q", "2", "--trunc", "20"]) == 2
     assert main(["shtuka", "check", "--example", "carlitz", "--trunc", "20"]) == 2
+    assert main(["qp", "--example", "carlitz", "--trunc", "20"]) == 2
 
 
 def test_const_ext_3_is_a_cli_example(tmp_path):

@@ -33,8 +33,8 @@ INVOCATIONS = [
     "periods --example const-ext:2 --prec 60 --trunc 12",
     "periods --example carlitz-tensor:2 --q 4 --prec 60 --trunc 12",
     "periods --example carlitz-tensor:3 --q 3 --prec 60 --trunc 12",
-    "qp --example kummer-t:3 --prec 60 --trunc 24",
-    "qp --example carlitz --prec 60 --trunc 24",
+    "qp --example kummer-t:3 --prec 60",
+    "qp --example carlitz --prec 60",
     "legendre --example kummer-t:3 --prec 60 --trunc 12 --height 10",
     "pitilde --prec 40",
     "omega --prec 40 --trunc 8",

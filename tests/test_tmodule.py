@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from cmperiods.arith import Fq
+from cmperiods.errors import NoDecay
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import InfElem
 from cmperiods.relhunt import find_linear_relations
@@ -211,7 +212,7 @@ def test_kummer_quasi_period_matrix_nondegenerate():
     fx = get_fixture("kummer-t:3", q=3, N=140)
     tm = fx.tmodule
     lat = tm.period_lattice()
-    qp = quasi_period_matrix(tm, lat, T=24)
+    qp = quasi_period_matrix(tm, lat)
     det = qp[0][0] * qp[1][1] - qp[0][1] * qp[1][0]
     assert det.val() is not None  # finite valuation = non-degenerate
 
@@ -384,16 +385,36 @@ def _sum_shifted(series):
     return acc.truncate(int(series.decay.tail_min(series.T) * e))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_de_rham_pairing_matches_the_per_n_reference(q):
-    # [delta_1, pi] at its default T is the per-n series summed at theta
-    N = 200
-    tm = carlitz(q, N)
-    pi = carlitz_period(q, N)
-    T = int(pi.prec_val // (q - 1)) + 8
-    got = de_rham_pairing(tm, 1, pi)
-    assert got.to_json() == _sum_shifted(_agf_per_j(tm, pi, 1, T)).to_json()
-    zero = InfElem.zero(pi.field, N, pi.e)
+@pytest.mark.parametrize(
+    "name, q, N",
+    [("carlitz", 2, 200), ("carlitz", 3, 200), ("carlitz", 4, 200), ("kummer-t:3", 3, 60), ("const-ext:3", 2, 60)],
+    ids=["2", "3", "4", "kummer-t:3", "const-ext:3"],
+)
+def test_de_rham_pairing_matches_the_per_n_reference(name, q, N):
+    # [delta_j, lam] from the partial-fraction sum has the digits of the
+    # per-n series summed at theta at its former default T, and states at
+    # least that sum's precision: the sum has no truncation in t
+    if name == "carlitz":
+        tm, lams = carlitz(q, N), [carlitz_period(q, N)]
+    else:
+        tm = get_fixture(name, q=q, N=N).tmodule
+        lams = tm.period_lattice().vectors
+    for lam in lams:
+        for j in (1, 2):
+            T = int(lam.prec_val // (q**j - 1)) + 8
+            want = _sum_shifted(_agf_per_j(tm, lam, j, T))
+            got = de_rham_pairing(tm, j, lam)
+            assert got.prec >= want.prec
+            assert got.truncate(want.prec).to_json() == want.to_json()
+            # and a reference long enough to reach the sum's precision
+            # has every digit the sum states
+            while want.prec < got.prec:
+                T *= 2
+                want = _sum_shifted(_agf_per_j(tm, lam, j, T))
+            assert want.truncate(got.prec).to_json() == got.to_json()
+        with pytest.raises(NoDecay):
+            de_rham_pairing(tm, 0, lam)
+    zero = InfElem.zero(lam.field, N, lam.e)
     assert de_rham_pairing(tm, 1, zero).to_json() == zero.to_json()
     G = agf(tm, zero, 1, 8)
     assert all(c.is_zero() and c.prec == zero.prec * q for c in G.coeffs)
