@@ -493,9 +493,10 @@ def build_psi(module: TModule, lattice: Lattice, motive, T=64, prec=None, thresh
     psi_minus = ct_minus.inverse()
     # C(theta)'s entries are quasi-periods, but they stay the evaluation of
     # the twisted columns, which are built here anyway.  de_rham_pairing's
-    # sum at its full precision costs more (10 ms against 1-2 ms at prec
-    # 60, T 12) and raises the symbols' precision (21.75 to 57.25 there);
-    # it belongs with cutting the symbols at --prec and exiting 3 below it.
+    # sum at its full precision costs more (build_psi CPU 18 to 24 ms on
+    # kummer-t:3 at prec 60, T 12) and raises the symbols' precision there
+    # from 21.75 to 57.25; it belongs with cutting the symbols at --prec
+    # and exiting 3 below it.
     ct_theta = ct_minus.twist(1).eval_theta()
     if basis_change is not None:
         U_minus, U_inv_theta = basis_change

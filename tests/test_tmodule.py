@@ -392,7 +392,7 @@ def _sum_shifted(series):
 )
 def test_de_rham_pairing_matches_the_per_n_reference(name, q, N):
     # [delta_j, lam] from the partial-fraction sum has the digits of the
-    # per-n series summed at theta at its former default T, and states at
+    # per-n series at T = prec/(q^j - 1) + 8 summed at theta, and states at
     # least that sum's precision: the sum has no truncation in t
     if name == "carlitz":
         tm, lams = carlitz(q, N), [carlitz_period(q, N)]
