@@ -735,14 +735,6 @@ def poly_taylor(f, a):
     return out
 
 
-def poly_gcd(f, g):
-    """The last nonzero remainder of Euclid's algorithm, not made monic."""
-    f, g = poly_norm(f), poly_norm(g)
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    return f
-
-
 def poly_inv_mod(f, m):
     """s with s*f = 1 modulo m over a field, by the extended Euclidean
     algorithm; ZeroDivisionError unless f is a unit modulo m."""

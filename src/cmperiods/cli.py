@@ -100,11 +100,23 @@ def _humanize(report):
     return "\n".join(lines)
 
 
+class UsageError(Exception):
+    """Input that the parser cannot judge alone: exit 2."""
+
+
 def prime_power(text):
     """Type of --q: the int q, refused (exit 2) unless a prime power."""
     q = int(text)
     q_split(q)
     return q
+
+
+def positive(text):
+    """Type of --trunc: an int of at least 1, refused (exit 2) otherwise."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(n)
+    return n
 
 
 def _field_conventions(q):
@@ -136,12 +148,15 @@ def _parse_poly(field, text):
         neg = term.startswith("-")
         if neg:
             term = term[1:]
-        if "theta" in term:
-            head, _, tail = term.partition("theta")
-            c = int(head.rstrip("*")) if head.rstrip("*") else 1
-            d = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            c, d = int(term), 0
+        try:
+            if "theta" in term:
+                head, _, tail = term.partition("theta")
+                c = int(head.rstrip("*")) if head.rstrip("*") else 1
+                d = int(tail[1:]) if tail.startswith("^") else 1
+            else:
+                c, d = int(term), 0
+        except ValueError:
+            raise UsageError(f"--x: cannot read the term {term!r}") from None
         c %= field.p ** field.a
         if neg:
             c = field.neg(c)
@@ -158,7 +173,10 @@ def _parse_gamma_arg(q, text):
         num = num.strip("()")
     else:
         num, den = text, "1"
-    return _parse_poly(fld, num), _parse_poly(fld, den)
+    den = _parse_poly(fld, den)
+    if den.is_zero():
+        raise UsageError(f"--x: {text!r} has a zero denominator")
+    return _parse_poly(fld, num), den
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +256,39 @@ def cmd_cm(args, t0):
         rep = rank_ik0(model)
         payload = {"rank_ik0": rep, "degree": model.degree, "cm_degree": model.cm_degree}
         if args.xi:
-            div = _parse_divisor(args.xi)
+            div = _parse_divisor(args.xi, model)
             payload["xi"] = div
             payload["rank_orbit"] = galois_rank(div, model)
         emit(make_report("cm rank", config, payload), args, t0)
         return 0
     if args.action == "xi0":
         label = args.xi0 or model.points(args.prec)[0].label
+        _known_points([label], model, "--xi0")
         rep = nondegenerate_xi0(model, label)
         emit(make_report("cm xi0", config, rep), args, t0)
         return 0 if rep["non_degenerate"] else 4
     raise SystemExit(2)
 
 
-def _parse_divisor(text):
+def _known_points(labels, model, flag):
+    known = [pt.label for pt in model.points()]
+    for label in labels:
+        if label not in known:
+            raise UsageError(f"{flag}: no point {label!r}; the points are {', '.join(known)}")
+
+
+def _parse_divisor(text, model):
     out = {}
     for part in text.split(","):
         if ":" in part:
-            k, v = part.split(":")
-            out[k.strip()] = int(v)
+            k, _, v = part.partition(":")
+            try:
+                out[k.strip()] = int(v)
+            except ValueError:
+                raise UsageError(f"--xi: {part!r} is not label:multiplicity") from None
         else:
             out[part.strip()] = out.get(part.strip(), 0) + 1
+    _known_points(out, model, "--xi")
     return CMDivisor(out)
 
 
@@ -334,6 +364,8 @@ def cmd_agf(args, t0):
     fx, lat = _lattice(args)
     config = _field_conventions(fx.model.q)
     config.update({"prec": args.prec, "trunc": args.trunc, "tag": args.tag, "vector": args.vector})
+    if not 0 <= args.vector < len(lat.vectors):
+        raise UsageError(f"--vector: the lattice has vectors 0 to {len(lat.vectors) - 1}")
     lam = lat.vectors[args.vector]
     series = agf(fx.tmodule, lam, args.tag, args.trunc)
     payload = {
@@ -425,7 +457,7 @@ def build_parser():
         p.add_argument("--q", type=prime_power, default=3)
         p.add_argument("--prec", type=int, default=DEFAULT_PREC)
         if trunc:
-            p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
+            p.add_argument("--trunc", type=positive, default=DEFAULT_TRUNC)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
         if example:
@@ -506,7 +538,7 @@ def main(argv=None):
     except (PrecisionExhausted, InsufficientPrecision) as ex:
         print(f"precision failure: {ex}", file=sys.stderr)
         return 3
-    except PoleArgument as ex:
+    except (PoleArgument, UsageError) as ex:
         print(f"invalid argument: {ex}", file=sys.stderr)
         return 2
     except FileNotFoundError as ex:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .arith import Fq, poly_div_linear, poly_divmod, poly_eval, poly_gcd, poly_norm, poly_taylor
+from .arith import Fq, poly_eval, poly_norm, poly_roots_in_ext, poly_taylor
 from .errors import (
     DivisionByApparentZero,
     NotAPower,
@@ -651,41 +651,25 @@ def newton_roots(f):
     """All roots (with multiplicity) of a polynomial with InfElem coefficients.
 
     Newton-polygon slope segmentation followed by Hensel lifting; each root
-    is returned in a freshly constructed (e, m) extension.  Near-roots that
-    cannot be separated at working precision raise PrecisionExhausted
-    rather than silently merging.
+    is returned in a freshly constructed (e, m) extension, with the
+    multiplicity the polygon gives it.  Near-roots that cannot be
+    separated at working precision raise PrecisionExhausted rather than
+    silently merging.
     """
     f = poly_norm(align_all(f)[0])
     if not f:
         raise ValueError("zero polynomial")
     deg = len(f) - 1
-    if deg == 0:
-        return []
     roots = []
-    # roots at zero
-    nzero = 0
-    while f[nzero].is_zero():
-        nzero += 1
-    if nzero:
-        z = InfElem.zero(f[0].field, f[0].prec // f[0].e, f[0].e)
-        roots.append((z, nzero))
-        f = f[nzero:]
-    simple = _squarefree_roots(f)
-    # assign multiplicities by trial division
-    for r in simple:
-        mult = 0
-        work = [c for c in f]
-        while True:
-            quot, rem = poly_div_linear(work, r)
-            if not _negligible(rem, work):
-                break
-            mult += 1
-            work = quot
-            if len(work) <= 1:
-                break
-        if mult == 0:
-            raise PrecisionExhausted("root does not divide at working precision")
-        roots.append((r, mult))
+    if f[0].is_zero():
+        roots.append(_zero_root(f))
+        f = f[roots[0][1]:]
+    # f(y) = g(y^p): p-th roots of the roots of g, p times as often
+    p, power = f[0].field.p, 1
+    while len(f) > 1 and not poly_norm(_poly_deriv(f)):
+        f, power = f[::p], power * p
+    for r, mult in _polygon_roots(f):
+        roots.append((r.nth_root(power) if power > 1 else r, mult * power))
     total = sum(m for _, m in roots)
     if total != deg:
         raise PrecisionExhausted(f"found {total} of {deg} roots")
@@ -696,55 +680,44 @@ def newton_roots(f):
     return roots
 
 
-def _negligible(rem, context):
-    # A remainder counts as zero when its valuation sits within the last
-    # quarter of the available precision window (measured relative to the
-    # size of the polynomial's own coefficients).  Genuine non-roots miss
-    # this by a margin comparable to the full window.
-    if rem.is_zero():
-        return True
-    scale = min((c.val() for c in context if not c.is_zero()), default=Fraction(0))
-    return rem.val() - scale >= Fraction(3, 4) * (rem.prec_val - scale)
-
-
-def _squarefree_roots(f):
-    """Distinct roots of f (InfElem coefficients, constant term nonzero)."""
-    fld = f[0].field
-    p = fld.p
-    deriv = poly_norm(_poly_deriv(f))
-    if not deriv:
-        # f(y) = g(y^p): take p-th roots of the roots of g
-        g = [f[i] for i in range(0, len(f), p)]
-        return [r.nth_root(p) for r in _squarefree_roots(g)]
-    g = poly_gcd(f, deriv)
-    if len(g) > 1:
-        f = poly_norm(poly_divmod(f, g)[0])
-    return _polygon_roots(f)
+def _zero_root(f):
+    """(0, nz) when f_0, .., f_(nz-1) are zero at their precisions and f_nz
+    is not.  Every completion of those coefficients has nz roots of
+    valuation at least min over i < nz of (prec f_i - lead f_nz)/(nz - i),
+    the slope bound of its Newton polygon (Duval, Rational Puiseux
+    expansions, Compositio Math. 70, 1989); 0 is claimed that far."""
+    nz = 1
+    while f[nz].is_zero():
+        nz += 1
+    lead = f[nz].lead_exp
+    claim = min([f[0].prec] + [(f[i].prec - lead) // (nz - i) for i in range(nz)])
+    return InfElem(f[0].field, f[0].e, {}, claim), nz
 
 
 def _polygon_roots(f, depth=8, min_val=None):
-    """Distinct roots of f with valuation strictly above min_val, through at
-    most depth nested Puiseux shifts."""
+    """(root, multiplicity) for the roots of f with valuation strictly
+    above min_val, through at most depth nested Puiseux shifts.
+
+    A simple residual root is Hensel-lifted (multiplicity 1).  A multiple
+    one is shifted away by its first Puiseux term, and the shifted
+    polynomial is searched for the roots above that term's valuation.
+    When a shift hits a root exactly, f_0 is zero at its precision and 0
+    is a root of the multiplicity and precision _zero_root derives.  f
+    keeps its zero coefficients: the other roots are lifted on f itself,
+    and so see what those coefficients leave unknown.
+    """
     if depth <= 0:
         raise PrecisionExhausted("Puiseux recursion depth exhausted")
     f = poly_norm(align_all(f)[0])
     out = []
-    if len(f) <= 1:
-        return out
     if f[0].is_zero():
-        # an earlier shift hit the root exactly
-        out.append(InfElem(f[0].field, f[0].e, {}, f[0].prec))
-        nz = 0
-        while f[nz].is_zero():
-            nz += 1
-        f = f[nz:]
-        if len(f) <= 1:
-            return out
-    if len(f) == 2:
-        r = -(f[0] / f[1])
-        if min_val is None or r.is_zero() or r.val() > min_val:
-            out.append(r)
-        return out
+        # an earlier shift hit the root exactly; it must be known past the
+        # shift's own term
+        out.append(_zero_root(f))
+        if out[0][0].prec <= min_val * f[0].e:
+            raise PrecisionExhausted("a root cluster is not separated at working precision")
+    elif len(f) == 2:
+        return [(-(f[0] / f[1]), 1)]
     for i1, i2, slope in _newton_polygon(f):
         mu = -slope  # u-exponent of the roots on this segment
         root_val = Fraction(mu, f[0].e)
@@ -766,7 +739,7 @@ def _polygon_roots(f, depth=8, min_val=None):
         rroots = _const_poly_roots(res, const)
         for cbar, rmult, cfield in rroots:
             if rmult == 1:
-                out.append(_hensel_lift(lifted, cbar, cfield, mup, e2))
+                out.append((_hensel_lift(lifted, cbar, cfield, mup, e2), 1))
             else:
                 # shift by the first Puiseux term and recurse on the cluster
                 big = const.compositum(cfield)
@@ -774,8 +747,8 @@ def _polygon_roots(f, depth=8, min_val=None):
                 shifted = [c.lift(big, e2) for c in lifted]
                 approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted))
                 g = poly_taylor(shifted, approx)
-                for r2 in _polygon_roots(g, depth - 1, min_val=root_val):
-                    out.append(approx + r2)
+                for r2, m2 in _polygon_roots(g, depth - 1, min_val=root_val):
+                    out.append((approx + r2, m2))
     return out
 
 
@@ -803,7 +776,11 @@ def _hensel_lift(f, cbar, cfield, mup, e2):
         work = [c.truncate(vmin - mup * i + r) for i, c in enumerate(lifted)]
         y = _newton(work, y.at_prec(mup + r), vmin - mup)
         r *= 2
-    return _newton(lifted, y.at_prec(prec), vmin - mup)
+    y = _newton(lifted, y.at_prec(prec), vmin - mup)
+    if y.prec <= mup:
+        # f(y) is known no further than its least term: cbar is undetermined
+        raise PrecisionExhausted("root not determined at working precision")
+    return y
 
 
 def _newton(f, y, dval):
@@ -836,8 +813,6 @@ def _const_poly_roots(coeffs, field: Fq):
     """Roots of a constant-field polynomial in minimal canonical extensions.
 
     Returns [(root, multiplicity, field_containing_root)]."""
-    from .arith import poly_roots_in_ext
-
     deg = 0
     for i, c in enumerate(coeffs):
         if c:

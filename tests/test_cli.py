@@ -172,6 +172,34 @@ def test_flags_only_where_read():
     assert main(["qp", "--example", "carlitz", "--trunc", "20"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["cm", "rank", "--example", "kummer-t:3", "--xi", "xi0:a"], "--xi"),
+        (["cm", "rank", "--example", "kummer-t:3", "--xi", "nope"], "--xi"),
+        (["cm", "xi0", "--example", "kummer-t:3", "--xi0", "zz"], "--xi0"),
+        (["gamma", "--x", "theta^", "--prec", "40"], "--x"),
+        (["gamma", "--x", "1/0", "--prec", "40"], "--x"),
+        (["agf", "--example", "kummer-t:3", "--prec", "60", "--trunc", "8", "--vector", "5"], "--vector"),
+        (["agf", "--example", "kummer-t:3", "--prec", "60", "--trunc", "8", "--vector", "-1"], "--vector"),
+        (["periods", "--example", "carlitz", "--prec", "40", "--trunc", "0"], "--trunc"),
+        (["omega", "--prec", "40", "--trunc", "0"], "--trunc"),
+    ],
+    ids=["xi-multiplicity", "xi-label", "xi0-label", "x-exponent", "x-over-zero", "vector-past-rank",
+         "vector-negative", "periods-trunc-0", "omega-trunc-0"],
+)
+def test_bad_input_is_a_usage_error(capsys, args, flag):
+    # the message names the flag; input that only a computed object can
+    # judge (labels, lattice size) is refused in one line, flag types by
+    # the parser's usage message
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and flag in err.splitlines()[-1]
+    if flag != "--trunc":
+        assert err.startswith("invalid argument:") and err.count("\n") == 1
+
+
 def test_const_ext_3_is_a_cli_example(tmp_path):
     # a rank-3 pipeline: the lattice, Psi, the symbols and a Legendre certificate
     out = tmp_path / "leg.json"

@@ -70,6 +70,15 @@ def test_ramified_above_theta_rejected():
         inflate(CMDivisor({THETA_POINT: 1}), model)
 
 
+@pytest.mark.parametrize("u_coeffs", [[0, 2], [1, 1]], ids=["-t", "1+t"])
+def test_inseparable_points_rejected(u_coeffs):
+    # y^3 = u(t) in char 3: newton_roots finds one root of multiplicity 3
+    # through the y^p branch, and the points refuse it
+    model = CMFieldModel("monogenic", 3, E=3, u_coeffs=u_coeffs, name="ram")
+    with pytest.raises(RamifiedAboveTheta):
+        model.points(60)
+
+
 def test_const_ext_multi_component_build_rejected():
     from cmperiods.shtuka import solve_shtuka
 

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
 
-from cmperiods.arith import Fq, poly_divmod, poly_eval, poly_gcd, poly_inv_mod, poly_mul, poly_taylor
-from cmperiods.errors import DivisionByApparentZero, NotAPower
+from cmperiods.arith import Fq, poly_divmod, poly_eval, poly_inv_mod, poly_mul, poly_taylor
+from cmperiods.errors import DivisionByApparentZero, NotAPower, PrecisionExhausted
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import (
     InfElem,
@@ -294,7 +295,6 @@ def test_poly_toolkit_over_series():
     f = poly_mul(g, h)
     quot, rem = poly_divmod(f, g)
     assert rem == [] and [c.coeffs for c in quot] == [{-1: 1}, {}, {0: 1}]
-    assert len(poly_gcd(f, poly_mul(g, lin))) == 3
     a, z = InfElem.theta(F3, 30), InfElem.const(F3, 2, 30)
     assert (poly_eval(poly_taylor(f, a), z) - poly_eval(f, a + z)).is_zero()
     one = poly_divmod(poly_mul(poly_inv_mod(lin, g), lin), g)[1]
@@ -561,3 +561,127 @@ def test_root_with_zero_upper_digits_claims_no_more_than_it_knows(P):
         assert r.prec <= P - 4
         assert r.coeffs == {k: c for k, c in exact.coeffs.items() if k < r.prec}
         assert r.coeffs == {k: c for k, c in r_hi.coeffs.items() if k < r.prec}
+
+
+# Root finding against known roots.  A polynomial is built as the exact
+# product of (y - r) over known roots and every coefficient is cut to u^P.
+# newton_roots must then either return roots that each agree with a
+# distinct true root below their claims, or raise PrecisionExhausted.
+
+
+def _from_roots(roots, P):
+    one = InfElem.const(roots[0].field, 1, 4 * P, roots[0].e)
+    f = [one]
+    for r in roots:
+        f = poly_mul(f, [-r, one])
+    return [c.truncate(P) for c in f]
+
+
+def _u(field, digits, e=1):
+    return InfElem(field, e, dict(digits), 400)
+
+
+def _matches(found, truth):
+    """True when the found roots, repeated by multiplicity, agree with a
+    permutation of the true roots below their claims, and no claim lies
+    at or below its true root's lead."""
+    flat = [r for r, m in found for _ in range(m)]
+    if len(flat) != len(truth):
+        return False
+    for perm in permutations(truth):
+        pairs = [InfElem.align(r, t) for r, t in zip(flat, perm)]
+        if all((r - t).is_zero() and r.prec > t.lead_exp for r, t in pairs):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("P, claim", [(40, 35), (45, 40), (60, 55)])
+def test_shift_hit_claims_what_the_polygon_derives(P, claim):
+    # (y - a)(y - b) over F_3 with a = 1 + u^35 and b = 1 + u^5.  At P 40
+    # the shift by 1 leaves f(1) = u^40 zero at precision, so 1 is a root
+    # as far as (40 - val(-u^5 - u^35))/1 = 35, not to u^40: the true root
+    # a differs from 1 at u^35, and b is lifted on the unstripped
+    # polynomial, which knows b no further either.  At P 45 and 60 both
+    # roots are simple on the polygon.
+    a, b = _u(F3, {0: 1, 35: 1}), _u(F3, {0: 1, 5: 1})
+    found = newton_roots(_from_roots([a, b], P))
+    assert [m for _, m in found] == [1, 1]
+    assert [r.prec for r, _ in found] == [claim, claim]
+    assert _matches(found, [a, b])
+
+
+def test_roots_agreeing_through_u19():
+    # a and b agree through u^19 and differ at u^20: the discriminant
+    # (a - b)^2 is u^40, zero at P 40, where no root can be told apart;
+    # at P 41 the polygon separates them, each known to 41 - 20.
+    common = {0: 1, 3: 2, 8: 1, 14: 1}
+    a, b = _u(F3, {**common, 20: 1, 26: 2}), _u(F3, {**common, 20: 2, 31: 1})
+    with pytest.raises(PrecisionExhausted):
+        newton_roots(_from_roots([a, b], 40))
+    found = newton_roots(_from_roots([a, b], 41))
+    assert [(r.prec, m) for r, m in found] == [(21, 1), (21, 1)]
+    assert _matches(found, [a, b])
+
+
+def test_exact_double_root_is_not_guessed():
+    # (y - a)^2 with a of 7 terms, four past u^20: at P 40 its coefficients
+    # are those of (y - a - d)(y - a + d) for every d of valuation 20 or
+    # more, so neither a nor the multiplicity 2 is determined
+    a = _u(F3, {0: 2, 4: 1, 9: 2, 15: 1, 22: 1, 28: 2, 35: 1})
+    with pytest.raises(PrecisionExhausted):
+        newton_roots(_from_roots([a, a], 40))
+
+
+def test_multiplicity_found_through_a_second_shift():
+    # (y - theta - 1)^2 (y - 1) over F_3: the double root is shifted by
+    # theta, then by 1, where the shift hits it exactly
+    th, one = _u(F3, {-1: 1}), _u(F3, {0: 1})
+    found = newton_roots(_from_roots([th + one, th + one, one], 60))
+    assert sorted((r.lead_exp, m) for r, m in found) == [(-1, 2), (0, 1)]
+    assert _matches(found, [th + one, th + one, one])
+
+
+def test_roots_that_read_as_zero_claim_the_polygon_bound():
+    # y^3 - r^3 with val r = 19/2 over F_9: at P 30 every coefficient but
+    # the top one is zero, so 0 is a triple root, known to u^(30/3)
+    r = _u(F9, {19: 8, 31: 1, 37: 7, 38: 6}, e=2)
+    found = newton_roots(_from_roots([r, r, r], 30))
+    assert [(z.coeffs, z.prec, z.e, m) for z, m in found] == [({}, 10, 2, 3)]
+
+
+def _random_roots(rng, field, e, P):
+    """2 to 4 roots: fresh ones of lead between -2 and 2, repeats of an
+    earlier one, and cluster members that agree with an earlier one up to
+    a random cut and continue with fresh digits."""
+    def digits(lead):
+        exps = {lead} | set(rng.sample(range(lead + 1, 2 * P), rng.randint(0, 5)))
+        return {k: rng.randrange(1, field.size) for k in exps}
+
+    roots = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.random()
+        if roots and kind < 0.2:
+            roots.append(dict(rng.choice(roots)))
+        elif roots and kind < 0.5:
+            base = rng.choice(roots)
+            cut = rng.randrange(min(base) + 1, P + 10)
+            roots.append({**{k: c for k, c in base.items() if k < cut}, **digits(cut)})
+        else:
+            roots.append(digits(rng.randrange(-2 * e, 2 * e)))
+    return [InfElem(field, e, d, 4 * P) for d in roots]
+
+
+def test_random_products_of_known_roots():
+    rng = random.Random(25)
+    outcomes = {True: 0, None: 0}
+    for _ in range(100):
+        field, e, P = rng.choice([F2, F3, F9]), rng.choice([1, 1, 2]), rng.choice([30, 40, 60])
+        truth = _random_roots(rng, field, e, P)
+        try:
+            found = newton_roots(_from_roots(truth, P))
+        except PrecisionExhausted:
+            outcomes[None] += 1
+            continue
+        assert _matches(found, truth), [t.coeffs for t in truth]
+        outcomes[True] += 1
+    assert outcomes[True] >= 50 and outcomes[None] >= 20
