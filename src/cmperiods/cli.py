@@ -152,7 +152,9 @@ def _parse_poly(field, text):
             if "theta" in term:
                 head, _, tail = term.partition("theta")
                 c = int(head.rstrip("*")) if head.rstrip("*") else 1
-                d = int(tail[1:]) if tail.startswith("^") else 1
+                if tail and not tail.startswith("^"):
+                    raise ValueError(f"{tail!r} after theta")
+                d = int(tail[1:]) if tail else 1
             else:
                 c, d = int(term), 0
         except ValueError:

@@ -13,10 +13,15 @@ no key is >= prec.  InfElem(...) enforces this by filtering what it is
 given, as outside input needs; the ring operations build results that
 already hold it once, with InfElem._trusted, and add and multiply
 coefficients in the field's own representation (_add_into, _mapped).
-Every t-series product (tate.py) and every InfElem product past a size
-threshold go through one Kronecker packing kernel: one Python long
-multiplication in place of a quadratic dict loop.  The kernel never
-declines a product; see _kronecker_mul for the one case it raises on.
+Every t-series product (tate.py) and every InfElem product of more than
+_PACK_THRESHOLD digit pairs go through one Kronecker packing kernel: one
+Python long multiplication in place of a quadratic dict loop.  Below that
+measured crossover (the table at _PACK_THRESHOLD) the dict loop is the
+faster, and a factor of one term is a shift-and-scale of the other.  The
+kernel never declines a product; see _kronecker_mul for the one case it
+raises on.  Products and quotients compute only the digits they keep:
+a product is cut at its precision, and a divisor is cut to what the
+quotient keeps before it is inverted.
 
 CM-field validation reads the same series as elements of F_q((1/t)),
 with t in place of theta.  Its roots never meet a theta-series, so a
@@ -44,7 +49,25 @@ try:  # GMP multiplication is 40x faster on the megabit integers the
 except ImportError:  # pragma: no cover
     _mpz = int
 
-_PACK_THRESHOLD = 3000  # len(a)*len(b) above which packing wins
+# len(a)*len(b) past which _kronecker_mul beats the dict loop.  Dense
+# operands, microseconds per product as dict loop / kernel, pure Python
+# 3.11.7 on one x86_64 core:
+#
+#   shape  len*len     F_2        F_3        F_4        F_9
+#   2x100     200    30 / 33    33 / 36    35 / 67    37 / 96
+#   2x150     300    42 / 42    47 / 46    50 / 93    53 / 118
+#   4x75      300    44 / 30    46 / 32    50 / 63    57 / 87
+#   8x25      200    34 / 22    40 / 23    42 / 43    43 / 53
+#   8x38      304    47 / 24    51 / 25    52 / 50    60 / 67
+#   15x20     300    49 / 23    55 / 23    55 / 43    60 / 48
+#   20x20     400    59 / 23    66 / 24    75 / 44    77 / 58
+#   50x50    2500   301 / 32   342 / 34   355 / 62   393 / 90
+#
+# Over prime fields the kernel wins from about 200-300 on, over F_4 and
+# F_9 from about 300-400 on for operands of like length; a factor of two
+# terms keeps the loop ahead further in F_4 and F_9, where the kernel
+# packs n digits a slot.  300 is where those crossovers meet.
+_PACK_THRESHOLD = 300
 
 
 class InfElem:
@@ -193,15 +216,17 @@ class InfElem:
     def __mul__(self, other):
         a, b = InfElem.align(self, other)
         f = a.field
-        la = a.lead_exp
-        lb = b.lead_exp
-        prec = min(a.prec + lb, b.prec + la)
+        prec = min(a.prec + b.lead_exp, b.prec + a.lead_exp)
         if not a.coeffs or not b.coeffs:
             return InfElem._trusted(f, a.e, {}, prec)
-        if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
-            return _kronecker_mul([a], [b], 1)[0]
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
+        if len(a.coeffs) == 1:
+            # a monomial: one shift-and-scale of b, cut where the product ends
+            ((k, c),) = a.coeffs.items()
+            return b.truncate(prec - k).mono_mul(c, k)
+        if len(a.coeffs) * len(b.coeffs) > _PACK_THRESHOLD:
+            return _kronecker_mul([a], [b], 1)[0]
         out = {}
         for k1, c1 in a.coeffs.items():
             _add_into(out, _mapped(f, b.coeffs, c1, k1), prec, f)
@@ -239,7 +264,12 @@ class InfElem:
         return y.mono_mul(cinv, -L)
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        a, b = InfElem.align(self, other)
+        if a.coeffs:
+            # the quotient keeps a.prec - lead(b); digits of b at or past
+            # a.prec + lead(b) - lead(a) reach none of them
+            b = b.truncate(a.prec + b.lead_exp - a.lead_exp)
+        return a * b.inverse()
 
     def __pow__(self, n):
         if n < 0:
@@ -694,27 +724,29 @@ def _zero_root(f):
     return InfElem(f[0].field, f[0].e, {}, claim), nz
 
 
-def _polygon_roots(f, depth=8, min_val=None):
+def _polygon_roots(f, depth=8, min_val=None, cluster_val=None):
     """(root, multiplicity) for the roots of f with valuation strictly
     above min_val, through at most depth nested Puiseux shifts.
 
     A simple residual root is Hensel-lifted (multiplicity 1).  A multiple
     one is shifted away by its first Puiseux term, and the shifted
-    polynomial is searched for the roots above that term's valuation.
-    When a shift hits a root exactly, f_0 is zero at its precision and 0
-    is a root of the multiplicity and precision _zero_root derives.  f
-    keeps its zero coefficients: the other roots are lifted on f itself,
-    and so see what those coefficients leave unknown.
+    polynomial is searched for the roots above that term's valuation;
+    cluster_val is then the valuation of the roots of the outermost
+    cluster, the lead that every root found below it shares.  When a
+    shift hits a root exactly, f_0 is zero at its precision and 0 is a
+    root of the multiplicity and precision _zero_root derives.  f keeps
+    its zero coefficients: the other roots are lifted on f itself, and so
+    see what those coefficients leave unknown.
     """
     if depth <= 0:
         raise PrecisionExhausted("Puiseux recursion depth exhausted")
     f = poly_norm(align_all(f)[0])
     out = []
     if f[0].is_zero():
-        # an earlier shift hit the root exactly; it must be known past the
-        # shift's own term
+        # an earlier shift hit the root exactly; a claim at or below the
+        # root's own lead would say nothing
         out.append(_zero_root(f))
-        if out[0][0].prec <= min_val * f[0].e:
+        if out[0][0].prec_val <= cluster_val:
             raise PrecisionExhausted("a root cluster is not separated at working precision")
     elif len(f) == 2:
         return [(-(f[0] / f[1]), 1)]
@@ -747,7 +779,8 @@ def _polygon_roots(f, depth=8, min_val=None):
                 shifted = [c.lift(big, e2) for c in lifted]
                 approx = InfElem(big, e2, {mup: phi(cbar)}, max(c.prec for c in shifted))
                 g = poly_taylor(shifted, approx)
-                for r2, m2 in _polygon_roots(g, depth - 1, min_val=root_val):
+                outer = root_val if cluster_val is None else cluster_val
+                for r2, m2 in _polygon_roots(g, depth - 1, root_val, outer):
                     out.append((approx + r2, m2))
     return out
 

@@ -77,7 +77,10 @@ def carlitz_period(q, N, with_report=False):
         T += 1
     omega = omega_series(q, T + 2, N + margin)
     omega_at_theta = omega.eval_theta()
-    pi_main = omega_at_theta.inverse().with_prec_val(N)
+    # 1/Omega(theta) is known to prec - 2 lead, so pi keeps N e units from
+    # Omega(theta) cut at N e + 2 lead
+    e, lead = omega_at_theta.e, omega_at_theta.lead_exp
+    pi_main = omega_at_theta.truncate(N * e + 2 * lead).inverse()
 
     # independent product evaluation
     prec_val = N + margin

@@ -180,12 +180,16 @@ def test_flags_only_where_read():
         (["cm", "xi0", "--example", "kummer-t:3", "--xi0", "zz"], "--xi0"),
         (["gamma", "--x", "theta^", "--prec", "40"], "--x"),
         (["gamma", "--x", "1/0", "--prec", "40"], "--x"),
+        (["gamma", "--q", "3", "--x", "1/(thetafoo+1)", "--prec", "20"], "--x"),
+        (["gamma", "--q", "3", "--x", "thetaxyz", "--prec", "20"], "--x"),
+        (["gamma", "--q", "3", "--x", "2theta3", "--prec", "20"], "--x"),
         (["agf", "--example", "kummer-t:3", "--prec", "60", "--trunc", "8", "--vector", "5"], "--vector"),
         (["agf", "--example", "kummer-t:3", "--prec", "60", "--trunc", "8", "--vector", "-1"], "--vector"),
         (["periods", "--example", "carlitz", "--prec", "40", "--trunc", "0"], "--trunc"),
         (["omega", "--prec", "40", "--trunc", "0"], "--trunc"),
     ],
-    ids=["xi-multiplicity", "xi-label", "xi0-label", "x-exponent", "x-over-zero", "vector-past-rank",
+    ids=["xi-multiplicity", "xi-label", "xi0-label", "x-exponent", "x-over-zero", "x-thetafoo", "x-thetaxyz",
+         "x-2theta3", "vector-past-rank",
          "vector-negative", "periods-trunc-0", "omega-trunc-0"],
 )
 def test_bad_input_is_a_usage_error(capsys, args, flag):

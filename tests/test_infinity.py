@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -9,6 +9,7 @@ from cmperiods.arith import Fq, poly_divmod, poly_eval, poly_inv_mod, poly_mul, 
 from cmperiods.errors import DivisionByApparentZero, NotAPower, PrecisionExhausted
 from cmperiods.fixtures import get_fixture
 from cmperiods.infinity import (
+    _PACK_THRESHOLD,
     InfElem,
     _kronecker_mul,
     inf_arith,
@@ -432,6 +433,34 @@ def test_coefficient_loops_match_per_coefficient_references(field):
             _same(packed, _ref_product(a, b))
 
 
+@pytest.mark.parametrize("field", [F2, F3, F9, F4093, F5_6], ids=["F2", "F3", "F9", "F4093", "F5^6"])
+@pytest.mark.parametrize("e", [1, 2])
+def test_products_either_side_of_the_pack_threshold(field, e):
+    # dense m x k operands with m*k at the threshold (the dict loop) and
+    # just past it (the kernel); m = 1 is the one-term path on both sides
+    rng = random.Random(field.size + e)
+    side = isqrt(_PACK_THRESHOLD)
+    shapes = [(1, _PACK_THRESHOLD), (1, _PACK_THRESHOLD + 1), (2, _PACK_THRESHOLD // 2),
+              (2, _PACK_THRESHOLD // 2 + 1), (side, side), (side + 1, side + 1)]
+    assert [m * k > _PACK_THRESHOLD for m, k in shapes] == [False, True] * 3
+
+    def dense(n, slack):
+        lead = rng.randrange(-6, 6)
+        return InfElem(field, e, {lead + i: rng.randrange(1, field.size) for i in range(n)}, lead + n + slack)
+
+    for m, k in shapes:
+        a, b = dense(m, rng.randrange(0, 9)), dense(k, rng.randrange(2, 9))
+        assert len(a.coeffs) * len(b.coeffs) == m * k
+        _same(a * b, _ref_product(a, b))
+        _same(b * a, _ref_product(a, b))
+        # a known one digit past its terms: its precision, not the other
+        # operand's length, ends the product after m + 1 digits
+        a = dense(m, 1)
+        assert a.prec + b.lead_exp < b.prec + a.lead_exp
+        _same(a * b, _ref_product(a, b))
+        _same(b * a, _ref_product(a, b))
+
+
 @pytest.mark.parametrize(
     "small, big, e1, e2",
     [(F2, F4, 1, 2), (F3, F9, 2, 3), (F9, F9, 1, 4), (F3, F3.compositum(Fq.get(3, 1, 3)), 3, 1), (F4093, F4093, 2, 1)],
@@ -505,6 +534,36 @@ def test_inverse_matches_schoolbook(field, e):
         assert inv.coeffs == want.coeffs
         one = x * inv
         assert one.coeffs == {0: 1} and one.prec == x.prec - x.lead_exp
+
+
+def _same_elem(x, y):
+    assert (x.field, x.e, x.prec, x.coeffs) == (y.field, y.e, y.prec, y.coeffs)
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+@pytest.mark.parametrize("e", [1, 2, 4])
+def test_quotient_cuts_the_divisor_to_what_it_keeps(field, e):
+    # a / b inverts b only as far as the quotient keeps it; b known far
+    # past a, or not, gives a * b.inverse() digit for digit
+    rng = random.Random(5 * field.size + e)
+    dens = list(_battery(field, e, seed=7 * field.size + e))
+    for a in _battery(field, e, seed=field.size + 3 * e):
+        b = rng.choice(dens)
+        _same_elem(a / b, a * b.inverse())
+        far = rand_elem(rng, field, e, prec=a.prec + 80, lead=rng.randrange(-4, 4), density=0.7)
+        _same_elem(a / far, a * far.inverse())
+    zero = InfElem(field, e, {}, 12)
+    _same_elem(zero / b, zero * b.inverse())
+
+
+@pytest.mark.parametrize("small, big, e1, e2", [(F2, F4, 1, 2), (F3, F9, 4, 1), (F9, F9, 2, 4)])
+def test_quotient_cut_across_unlike_fields_and_ramification(small, big, e1, e2):
+    rng = random.Random(small.size + big.size + e1 + e2)
+    for _ in range(8):
+        a = rand_elem(rng, small, e1, rng.randrange(5, 30), rng.randrange(-6, 2))
+        b = rand_elem(rng, big, e2, rng.randrange(60, 140), rng.randrange(-6, 2))
+        _same_elem(a / b, a * b.inverse())
+        _same_elem(b / a, b * a.inverse())
 
 
 @pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
@@ -639,6 +698,18 @@ def test_multiplicity_found_through_a_second_shift():
     found = newton_roots(_from_roots([th + one, th + one, one], 60))
     assert sorted((r.lead_exp, m) for r, m in found) == [(-1, 2), (0, 1)]
     assert _matches(found, [th + one, th + one, one])
+
+
+def test_hit_after_a_second_shift_is_claimed_past_the_root_lead():
+    # (y - a)^2 (y - b) over F_3 at e = 2 and P 40, with a = u^-3 + 2u^17 +
+    # u^59: the double root is shifted by u^-3, then by 2u^17, where the
+    # shift hits it.  The polygon claims a to u^17, past its lead u^-3
+    # though not past the second shift's own term; that is a claim.
+    a = _u(F3, {-3: 1, 17: 2, 59: 1}, e=2)
+    b = _u(F3, {-4: 2, 2: 1, 21: 2, 47: 1, 52: 2}, e=2)
+    found = newton_roots(_from_roots([a, b, a], 40))
+    assert [(r.coeffs, r.prec, m) for r, m in found] == [({-3: 1}, 17, 2), ({-4: 2, 2: 1, 21: 2}, 36, 1)]
+    assert _matches(found, [a, b, a])
 
 
 def test_roots_that_read_as_zero_claim_the_polygon_bound():

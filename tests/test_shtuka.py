@@ -1,15 +1,19 @@
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from cmperiods.arith import Fq
 from cmperiods.cmtypes import CMDivisor, THETA_POINT
 from cmperiods.errors import ModelMismatch, UnsupportedGenus
 from cmperiods.fixtures import get_fixture
+from cmperiods.infinity import InfElem
 from cmperiods.shtuka import (
     WPoly,
+    _first_inverse_row,
     _fold,
     _model_wring,
     _unfold,
@@ -24,6 +28,7 @@ from cmperiods.shtuka import (
     tensor_motives,
 )
 from cmperiods.special import carlitz_period
+from cmperiods.tate import adj_inverse
 
 
 def test_solve_shtuka_carlitz():
@@ -250,6 +255,53 @@ def test_period_symbols_tensor_powers():
         assert ratio.field.in_base_q(c)
         diff = ratio - type(val).const(ratio.field, c, int(ratio.prec_val), ratio.e)
         assert diff.is_zero()
+
+
+def _same_elem(x, y):
+    assert (x.field, x.e, x.prec, x.coeffs) == (y.field, y.e, y.prec, y.coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symbols_match_the_uncut_inverse(q, n):
+    # det Psi(theta) is cut before it is inverted; every symbol keeps the
+    # digits and precision of the full adjugate inverse
+    N = 300
+    fx = get_fixture(f"carlitz-tensor:{n}" if n > 1 else "carlitz", q=q, N=N)
+    psi = fx.psi(T=24, N=N)
+    got = period_symbols(fx.motive, psi, prec=N)["values"]
+    inv = adj_inverse(psi.eval_theta())
+    for label, row in eigendifferentials(fx.motive, N).items():
+        want = inv[0][0] * row[0]
+        for j in range(1, fx.motive.rank):
+            want = want + inv[0][j] * row[j]
+        _same_elem(got[label], want)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_first_inverse_row_keeps_every_product(size):
+    # entries over F_9 at e = 2 with unlike precisions, differentials over
+    # F_3 at e = 1 and 3 with zero entries: each product of the cut row
+    # with a differential is the product of the full adjugate row with it
+    rng = random.Random(size)
+    F3, F9 = Fq.get(3, 1, 1), Fq.get(3, 1, 2)
+
+    def elem(fld, e, lead, span, density=0.7):
+        coeffs = {k: rng.randrange(1, fld.size) for k in range(lead, lead + span) if rng.random() < density}
+        coeffs[lead] = 1
+        return InfElem(fld, e, coeffs, lead + span)
+
+    for _ in range(4):
+        # a dominant diagonal keeps det nonzero
+        rows = [[elem(F9, 2, -6 if i == j else rng.randrange(0, 4), rng.randrange(10, 90)) for j in range(size)]
+                for i in range(size)]
+        diffs = [[elem(F3, e, rng.randrange(-3, 3), rng.randrange(1, 70)) for _ in range(size)] for e in (1, 3)]
+        diffs.append([InfElem(F3, 1, {}, 30)] + [elem(F3, 1, 0, 200) for _ in range(size - 1)])
+        row = _first_inverse_row(rows, diffs)
+        full = adj_inverse(rows)[0]
+        for d in diffs:
+            for j in range(size):
+                _same_elem(row[j] * d[j], full[j] * d[j])
 
 
 def test_tensor_symbols_hold_their_stated_precision():

@@ -298,6 +298,16 @@ def test_carlitz_period_dual_formula():
         assert pi.val() == Fraction(-qq, qq - 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("N", [60, 300])
+def test_carlitz_period_inverts_only_the_kept_digits(q, N):
+    # Omega(theta) is cut to what pi keeps before it is inverted; pi has
+    # every digit and the precision of the uncut inverse
+    pi, rep = carlitz_period(q, N, with_report=True)
+    want = rep["omega_at_theta"].inverse().with_prec_val(N)
+    assert (pi.field, pi.e, pi.prec, pi.coeffs) == (want.field, want.e, want.prec, want.coeffs)
+
+
 def test_gamma_small_argument():
     # x = theta^-8 at q=3: val(x*Gamma(x) - 1) >= 8
     x = InfElem(F3, 1, {8: 1}, 40)
