@@ -21,7 +21,8 @@ faster, and a factor of one term is a shift-and-scale of the other.  The
 kernel never declines a product; see _kronecker_mul for the one case it
 raises on.  Products and quotients compute only the digits they keep:
 a product is cut at its precision, and a divisor is cut to what the
-quotient keeps before it is inverted.
+quotient keeps before it is inverted.  Every InfElem quotient in the
+program goes through a / b, the one copy of that cut.
 
 CM-field validation reads the same series as elements of F_q((1/t)),
 with t in place of theta.  Its roots never meet a theta-series, so a

@@ -277,7 +277,7 @@ def certify_legendre(fiber_symbols, pi, weight, D=4, H=40, margin=20):
         prod = None
         for s in symbols:
             prod = s if prod is None else prod * s
-        ratio = prod * (pi**weight).inverse()
+        ratio = prod / pi**weight
         cert = find_algebraic_relation(ratio, D, H, margin)
         out[fiber] = {
             "pass": cert is not None,

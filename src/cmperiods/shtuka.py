@@ -26,7 +26,6 @@ products are the motives of summed divisors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 from .arith import (
     FPoly,
@@ -48,7 +47,7 @@ from .errors import (
     UnsupportedGenus,
 )
 from .infinity import InfElem, inf_nth_root
-from .tate import TateMatrix, TateSeries, det
+from .tate import TateMatrix, TateSeries, det, mat_mul
 
 # ---------------------------------------------------------------------------
 # exact scalars: rational functions and Kummer-ring elements
@@ -715,60 +714,25 @@ def eigendifferentials(motive: DualMotive, prec=120):
     return out
 
 
-def _first_inverse_row(rows, diffs):
-    """Row 0 of rows^(-1), as far as its products with the rows of diffs
-    keep it: entry j is the signed minor without row j and column 0 (1 for
-    a 1x1 matrix) times det^(-1).
-
-    A product x*y of nonzero factors is known to val x + val y +
-    min(rel x, rel y), where rel x = prec_val x - val x is the relative
-    precision; a zero factor fixes the product's precision alone.  det^(-1)
-    has the relative precision of det, so minor_j * det^(-1) * d_j keeps
-    every digit and its precision once det keeps min(rel minor_j, rel d_j).
-    det is cut to the most of that over j and the rows d, rounded up to
-    whole units of det."""
-    n = len(rows)
-    minors = [det([r[1:] for k, r in enumerate(rows) if k != j]) for j in range(n)] if n > 1 else []
-    keep = Fraction(0)
-    for d in diffs:
-        for j in range(n):
-            rel = _rel_prec(d[j])
-            if minors:
-                rel = min(rel, _rel_prec(minors[j]))
-            keep = max(keep, rel)
-    full = det(rows)
-    dinv = full.truncate(full.lead_exp + max(1, ceil(keep * full.e))).inverse()
-    return [(-m if j % 2 else m) * dinv for j, m in enumerate(minors)] or [dinv]
-
-
-def _rel_prec(x):
-    """prec_val - val, 0 for an element that is zero at its precision."""
-    return Fraction(x.prec - x.lead_exp, x.e)
-
-
 def period_symbols(motive: DualMotive, psi: TateMatrix, prec=120, psi_inv_theta=None):
     """Representatives of the period symbols p(xi, Xi) for every xi.
 
     The fixed Betti vector is the first entry of Psi^(-1) applied to the
-    basis; each eigen-differential evaluates it.  Pipelines that assemble
-    Psi from quasi-periods pass Psi^(-1)(theta) directly; otherwise the
-    first row of the evaluated matrix's inverse is formed through its
-    adjugate (_first_inverse_row).  Representatives are only
-    canonical up to algebraic multiples, so the report records every
-    convention that went into them.
+    basis; each eigen-differential omega evaluates it.  Pipelines that
+    assemble Psi from quasi-periods pass Psi^(-1)(theta) directly;
+    otherwise the symbol is taken by Cramer's rule, as det of Psi(theta)
+    with column 0 replaced by omega, over det Psi(theta): one quotient,
+    which cuts the determinant to what the symbol keeps.  Representatives
+    are only canonical up to algebraic multiples, so the report records
+    every convention that went into them.
     """
     omegas = eigendifferentials(motive, prec)
     if psi_inv_theta is not None:
-        inv_row = psi_inv_theta[0]
+        values = {label: mat_mul(psi_inv_theta[:1], [[w] for w in row])[0][0] for label, row in omegas.items()}
     else:
-        inv_row = _first_inverse_row(psi.eval_theta(), omegas.values())
-    values = {}
-    for label, row in omegas.items():
-        acc = None
-        for j in range(motive.rank):
-            term = inv_row[j] * row[j]
-            acc = term if acc is None else acc + term
-        values[label] = acc
+        rows = psi.eval_theta()
+        full = det(rows)
+        values = {label: det([[w] + r[1:] for w, r in zip(row, rows)]) / full for label, row in omegas.items()}
     conventions = {
         "basis": motive.basis,
         "betti_vector": "first row of Psi^(-1) evaluated at theta",

@@ -26,6 +26,13 @@ def _theta_root_setup(q, prec_val):
     return inf_nth_root(minus_theta, q - 1)
 
 
+def _omega_decay(q, n=1):
+    """Omega^n's t^k coefficient has valuation at least n q^(k // n + 1)/(q-1),
+    reached at every k = 0 mod n: the prefactor gives nq/(q-1), and the k
+    factors of t come at least from the smallest i, n at a time."""
+    return Decay("qpow", 0, Fraction(n * q, q - 1), q, n)
+
+
 def omega_series(q, T, N, n=1):
     """Tate series of Omega^n, the n-th power of the Carlitz-period
     generator, at truncation T.
@@ -34,10 +41,7 @@ def omega_series(q, T, N, n=1):
     (-theta)^(-nq/(q-1)) prefactor; factor i adds the binomial terms
     C(n, k)(-1)^k t^k theta^(-k q^i) that are nonzero mod p.  Enough
     factors are taken that every recorded coefficient is exact modulo the
-    declared precision.  The t^k coefficient is least when the k factors
-    of t come from the smallest i, n at a time, so the attached decay is
-    Omega's times n with step n:
-    val(a_k) >= n (q^(k // n + 1) - 2q)/(q-1).
+    declared precision.  The attached decay is _omega_decay's.
     """
     # coefficient precision generous enough to survive one inverse twist
     prec_val = q * (N + T) + 4 * q
@@ -56,14 +60,14 @@ def omega_series(q, T, N, n=1):
     for i in range(1, imax + 1):
         monos = [(k, InfElem(fld, e, {k * q**i * e: c}, prec_val * e)) for k, c in binomials]
         new = list(coeffs)
-        for j in range(T - 1, 0, -1):
+        # before factor i only t^0 .. t^((i-1)n) are nonzero
+        for j in range(min(T - 1, i * n), 0, -1):
             for k, mono in monos:
                 if k <= j:
                     new[j] = new[j] + coeffs[j - k] * mono
         coeffs = new
     coeffs = [c * prefactor for c in coeffs]
-    decay = Decay("qpow", Fraction(-2 * n * q, q - 1), Fraction(n * q, q - 1), q, n)
-    return TateSeries(coeffs, decay)
+    return TateSeries(coeffs, _omega_decay(q, n))
 
 
 def carlitz_period(q, N, with_report=False):
@@ -72,7 +76,7 @@ def carlitz_period(q, N, with_report=False):
     margin = 8
     # truncation for evaluation at theta: tail kicks in once q^i >> i
     T = 2
-    decay = Decay("qpow", Fraction(-2 * q, q - 1), Fraction(q, q - 1), q)
+    decay = _omega_decay(q)
     while decay.bound(T) - T < N + margin:
         T += 1
     omega = omega_series(q, T + 2, N + margin)
@@ -90,7 +94,7 @@ def carlitz_period(q, N, with_report=False):
     i = 1
     while q**i - 1 <= prec_val:
         factor = InfElem.const(fld, 1, prec_val, e) - InfElem(fld, e, {(q**i - 1) * e: 1}, prec_val * e)
-        acc = acc * factor.inverse()
+        acc = acc / factor
         i += 1
     pi_alt = acc.with_prec_val(N)
 
@@ -172,7 +176,7 @@ def geometric_gamma(x, N):
         Dd_new = (theta_qd - theta) * Dd**q
         ed_new = ed**q - (Dd ** (q - 1)) * ed
         ed, Dd = ed_new, Dd_new
-        block = ed * Dd.inverse()
+        block = ed / Dd
         bval = block.residual_val()
         if bval >= N + margin - 1:
             tail_bound = bval

@@ -211,8 +211,8 @@ class TModule:
 
     def division_step(self, x: InfElem):
         """The maximal-valuation solution of rho_t(X) = x (contraction)."""
-        theta_inv = self.coeffs[0].inverse()
-        y = x * theta_inv
+        theta = self.coeffs[0]
+        y = x / theta
         for _ in range(4 * (x.prec - x.lead_exp) + 40):
             tail = None
             for j in range(1, self.rank + 1):
@@ -221,7 +221,7 @@ class TModule:
                     continue
                 term = a * y.frobenius(j)
                 tail = term if tail is None else tail + term
-            newy = (x - tail) * theta_inv if tail is not None else x * theta_inv
+            newy = (x if tail is None else x - tail) / theta
             if (newy - y).is_zero():
                 return newy
             y = newy
@@ -360,9 +360,7 @@ def _chain_terms(module: TModule, lam: InfElem):
     """z_0 = lam theta^(-1) over the common field and ramification, and
     alpha(i, E_i) = E_i z_0^(q^i): the i-th exponential term of the chain
     entry, formed once per i and shared by every coefficient built on it."""
-    fld = module.field.compositum(lam.field)
-    e = lcm(module.e, lam.e)
-    z0 = lam.lift(fld, e) * module.theta.lift(fld, e).inverse()
+    z0 = lam / module.theta
     alphas = {}
 
     def alpha(i, E):

@@ -8,6 +8,7 @@ import pytest
 
 import cmperiods
 from cmperiods.cli import main
+from cmperiods.infinity import InfElem
 
 
 def run_cli(args):
@@ -139,10 +140,25 @@ def test_periods_closed_form_fixture(tmp_path):
 
 
 def test_symbol_without_a_known_digit_is_a_precision_failure():
-    # at T 8 the tail bound of Omega^3 over F_2 sits below its value at
+    # at T 2 the tail bound of Omega^3 over F_2 sits below its value at
     # theta, so the symbol has no known digit: exit 3, not a symbol
-    code, out = run_cli(["periods", "--example", "carlitz-tensor:3", "--q", "2", "--prec", "60", "--trunc", "8"])
+    code, out = run_cli(["periods", "--example", "carlitz-tensor:3", "--q", "2", "--prec", "60", "--trunc", "2"])
     assert code == 3 and out == ""
+
+
+def test_short_truncation_symbol_states_digits_of_the_long_one():
+    # at T 8 Omega^3 over F_2 states a few digits (it exited 3 while its
+    # decay bound sat 2nq/(q-1) too low); they are the digits of T 64
+    def symbol(trunc):
+        args = ["periods", "--example", "carlitz-tensor:3", "--q", "2", "--prec", "60", "--trunc", trunc, "--json"]
+        code, out = run_cli(args)
+        assert code == 0
+        (value,) = json.loads(out)["payload"]["period_symbols"].values()
+        return InfElem.from_json(value)
+
+    short, long = symbol("8"), symbol("64")
+    assert 0 < short.prec_val < long.prec_val
+    assert (short - long).residual_val() >= short.prec_val
 
 
 def test_legendre_require_pass(tmp_path):

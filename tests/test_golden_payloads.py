@@ -2,11 +2,11 @@
 
 Each invocation's JSON report, less `timing_ms`, must equal the one in
 `golden/cli_payloads.json`, together with the exit code.  A change that
-alters a payload on purpose regenerates the file with
+alters a payload on purpose regenerates the entries it alters with
 
-    PYTHONPATH=src python tests/test_golden_payloads.py
+    PYTHONPATH=src python tests/test_golden_payloads.py ["INVOCATION" ...]
 
-and says so in CHANGES.md.
+(every entry when none is named) and says so in CHANGES.md.
 """
 
 import io
@@ -64,6 +64,12 @@ def test_payload_matches_golden(invocation, golden):
 
 
 if __name__ == "__main__":
+    named = sys.argv[1:]
+    unknown = [inv for inv in named if inv not in INVOCATIONS]
+    if unknown:
+        sys.exit(f"not a golden invocation: {unknown}")
+    table = json.loads(GOLDEN.read_text()) if named else {}
+    table.update({inv: run(inv) for inv in named or INVOCATIONS})
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({inv: run(inv) for inv in INVOCATIONS}, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     sys.exit(0)

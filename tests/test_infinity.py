@@ -544,7 +544,8 @@ def _same_elem(x, y):
 @pytest.mark.parametrize("e", [1, 2, 4])
 def test_quotient_cuts_the_divisor_to_what_it_keeps(field, e):
     # a / b inverts b only as far as the quotient keeps it; b known far
-    # past a, or not, gives a * b.inverse() digit for digit
+    # past a, or not, or the monomial theta known to a finite precision
+    # (a t-module's first coefficient) gives a * b.inverse() digit for digit
     rng = random.Random(5 * field.size + e)
     dens = list(_battery(field, e, seed=7 * field.size + e))
     for a in _battery(field, e, seed=field.size + 3 * e):
@@ -552,8 +553,11 @@ def test_quotient_cuts_the_divisor_to_what_it_keeps(field, e):
         _same_elem(a / b, a * b.inverse())
         far = rand_elem(rng, field, e, prec=a.prec + 80, lead=rng.randrange(-4, 4), density=0.7)
         _same_elem(a / far, a * far.inverse())
+        theta = InfElem.theta(field, rng.randrange(1, 60), e)
+        _same_elem(a / theta, a * theta.inverse())
     zero = InfElem(field, e, {}, 12)
     _same_elem(zero / b, zero * b.inverse())
+    _same_elem(zero / theta, zero * theta.inverse())
 
 
 @pytest.mark.parametrize("small, big, e1, e2", [(F2, F4, 1, 2), (F3, F9, 4, 1), (F9, F9, 2, 4)])
