@@ -22,7 +22,9 @@ kernel never declines a product; see _kronecker_mul for the one case it
 raises on.  Products and quotients compute only the digits they keep:
 a product is cut at its precision, and a divisor is cut to what the
 quotient keeps before it is inverted.  Every InfElem quotient in the
-program goes through a / b, the one copy of that cut.
+program goes through a / b, the one copy of that cut; an inverse starts
+from the exact inverse of its first two terms, so that of a monomial or
+a binomial such as 1 - u^s takes no product.
 
 CM-field validation reads the same series as elements of F_q((1/t)),
 with t in place of theta.  Its roots never meet a theta-series, so a
@@ -251,12 +253,16 @@ class InfElem:
         relprec = self.prec - L
         if relprec <= 0:
             raise PrecisionExhausted("no significant digits left for inversion")
-        # self = c*u^L * unit with unit = 1 + O(u).  The Newton step
-        # y <- y - y*(unit*y - 1) doubles the correct digits of 1/unit, so
-        # each step runs at twice the relative precision of the last.
+        # self = c*u^L * unit, unit = 1 + d*u^s + O(u^k) with s, k its next
+        # exponents (relprec where it has none).  Below k, 1/unit is the
+        # geometric series sum (-d)^j u^(js), all of it for one or two
+        # terms; each Newton step y <- y - y*(unit*y - 1) from there doubles
+        # the correct digits, so it runs at twice the relative precision.
         cinv = f.inv(self.coeffs[L])
         unit = self.mono_mul(cinv, -L)
-        y = InfElem(f, self.e, {0: 1}, 1)
+        s, k = (sorted(unit.coeffs)[1:3] + [relprec, relprec])[:2]
+        ratio = f.neg(unit.coeffs.get(s, 0))
+        y = InfElem._trusted(f, self.e, {j * s: f.pow(ratio, j) for j in range(-(-k // s))}, k)
         while y.prec < relprec:
             w = min(2 * y.prec, relprec)
             y = y.at_prec(w)
@@ -358,11 +364,12 @@ class InfElem:
         elem = elem.lift(fld, elem.e)
         L = elem.lead_exp
         # strip the leading monomial: elem = c u^L * unit, then lift the
-        # root y0 = 1 of y^n - unit; it is simple, n being prime to p
+        # root y0 = 1 of y^n - unit; it is simple, n being prime to p.  A
+        # monomial's unit is exactly 1, its own root
         unit = elem.mono_mul(fld.inv(elem.coeffs[L]), -L)
         zero = InfElem(fld, elem.e, {}, unit.prec)
         one = InfElem(fld, elem.e, {0: 1}, unit.prec)
-        y = _hensel_lift([-unit] + [zero] * (n - 1) + [one], 1, fld, 0, elem.e)
+        y = one if len(unit.coeffs) == 1 else _hensel_lift([-unit] + [zero] * (n - 1) + [one], 1, fld, 0, elem.e)
         root = y.mono_mul(croot, L // n)
         # absolute precision: d(a^(1/n)) = da / (n a^((n-1)/n))
         lead_val = Fraction(L, elem.e)

@@ -524,10 +524,26 @@ def _schoolbook_inverse(x):
     return InfElem(f, x.e, {k - L: c for k, c in enumerate(y)}, x.prec - 2 * L)
 
 
+def _short_battery(field, e, seed):
+    """Elements of one, two and three terms that the inverse starts from,
+    with leads of both signs: the second term at s = 1, past half the
+    relative precision, or at s >= relprec (dropped, one term left), and a
+    third term just past s."""
+    rng = random.Random(seed)
+    for rel in RELPRECS:
+        for lead in (-rng.randrange(1, 6), 0, rng.randrange(1, 6)):
+            c, d, g = (rng.randrange(1, field.size) for _ in range(3))
+            yield InfElem(field, e, {lead: c}, lead + rel)
+            for s in {1, rel // 2 + 1, rel, rel + 3}:
+                yield InfElem(field, e, {lead: c, lead + s: d}, lead + rel)
+                yield InfElem(field, e, {lead: c, lead + s: d, lead + s + 1: g}, lead + rel)
+
+
 @pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
 @pytest.mark.parametrize("e", [1, 2, 4])
 def test_inverse_matches_schoolbook(field, e):
-    for x in _battery(field, e, seed=field.size + e):
+    seed = field.size + e
+    for x in [*_battery(field, e, seed), *_short_battery(field, e, seed)]:
         inv = x.inverse()
         want = _schoolbook_inverse(x)
         assert inv.prec == want.prec == x.prec - 2 * x.lead_exp
@@ -555,9 +571,37 @@ def test_quotient_cuts_the_divisor_to_what_it_keeps(field, e):
         _same_elem(a / far, a * far.inverse())
         theta = InfElem.theta(field, rng.randrange(1, 60), e)
         _same_elem(a / theta, a * theta.inverse())
+        # 1 - u^s known to a's relative precision, as de_rham_pairing
+        # divides by it: the quotient is a's geometric sum at a.prec
+        s = rng.randrange(1, 20)
+        geometric = InfElem(field, e, {0: 1, s: field.neg(1)}, a.prec - a.lead_exp)
+        quotient = a / geometric
+        _same_elem(quotient, a * geometric.inverse())
+        assert quotient.prec == a.prec
+        assert (quotient - quotient.mono_mul(1, s)).coeffs == a.coeffs
     zero = InfElem(field, e, {}, 12)
     _same_elem(zero / b, zero * b.inverse())
     _same_elem(zero / theta, zero * theta.inverse())
+
+
+@pytest.mark.parametrize("field", NEWTON_FIELDS, ids=NEWTON_IDS)
+def test_one_and_two_term_inverses_make_no_product(field, monkeypatch):
+    # the inverse starts from the exact inverse of the first two terms,
+    # which is the whole inverse of theta and of 1 - u^s
+    calls = []
+    product = InfElem.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(InfElem, "__mul__", counting)
+    for prec in (1, 2, 17, 300):
+        for e in (1, 3):
+            InfElem.theta(field, prec, e).inverse()
+            for s in (1, 5, prec * e):
+                InfElem(field, e, {0: 1, s: field.neg(1)}, prec * e).inverse()
+    assert not calls
 
 
 @pytest.mark.parametrize("small, big, e1, e2", [(F2, F4, 1, 2), (F3, F9, 4, 1), (F9, F9, 2, 4)])
