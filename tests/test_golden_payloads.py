@@ -29,6 +29,12 @@ INVOCATIONS = [
     "shtuka build --example carlitz-tensor:3 --q 4",
     "shtuka check --example kummer-t:5",
     "shtuka check --example const-ext:2",
+    "shtuka check --example kummer-t:3",
+    "shtuka check --example const-ext:3 --q 2",
+    "shtuka check --example carlitz-tensor:3 --q 4",
+    "cm validate --example kummer-t:3",
+    "cm rank --example kummer-t:5 --q 5 --xi xi0,xi1",
+    "agf --example kummer-t:3 --prec 40 --trunc 4",
     "periods --example kummer-t:3 --q 4 --prec 60 --trunc 12",
     "periods --example const-ext:2 --prec 60 --trunc 12",
     "periods --example carlitz-tensor:2 --q 4 --prec 60 --trunc 12",
