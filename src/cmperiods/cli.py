@@ -7,7 +7,7 @@ the payload.  Flags are long-form only and there is no environment
 variable configuration.
 
 Exit codes: 2 usage, 3 precision failure, 4 certification failure under
---require-pass, 5 model validation failure.
+--require-pass, 5 model load or validation failure.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class UsageError(Exception):
     """Input that the parser cannot judge alone: exit 2."""
 
 
+class ModelLoadFailure(Exception):
+    """A --model file that is not a model: exit 5."""
+
+
 def prime_power(text):
     """Type of --q: the int q, refused (exit 2) unless a prime power."""
     q = int(text)
@@ -112,9 +116,19 @@ def prime_power(text):
 
 
 def positive(text):
-    """Type of --trunc: an int of at least 1, refused (exit 2) otherwise."""
+    """Type of --prec, --trunc and --deg: an int of at least 1, refused
+    (exit 2) otherwise."""
     n = int(text)
     if n < 1:
+        raise ValueError(n)
+    return n
+
+
+def non_negative(text):
+    """Type of --height, --margin and --tag: an int of at least 0,
+    refused (exit 2) otherwise."""
+    n = int(text)
+    if n < 0:
         raise ValueError(n)
     return n
 
@@ -134,7 +148,10 @@ def _field_conventions(q):
 def _load_model(args):
     if args.model:
         with open(args.model) as fh:
-            return CMFieldModel.from_json(json.load(fh))
+            try:
+                return CMFieldModel.from_json(json.load(fh))
+            except (KeyError, TypeError, ValueError) as ex:
+                raise ModelLoadFailure(f"{args.model}: {ex!r}") from None
     return get_fixture(args.example, q=args.q, N=args.prec).model
 
 
@@ -457,7 +474,7 @@ def build_parser():
 
     def common(p, trunc=False, example=False):
         p.add_argument("--q", type=prime_power, default=3)
-        p.add_argument("--prec", type=int, default=DEFAULT_PREC)
+        p.add_argument("--prec", type=positive, default=DEFAULT_PREC)
         if trunc:
             p.add_argument("--trunc", type=positive, default=DEFAULT_TRUNC)
         p.add_argument("--json", action="store_true")
@@ -499,7 +516,7 @@ def build_parser():
 
     p = sub.add_parser("agf", help="Anderson generating function coefficients")
     common(p, trunc=True, example=True)
-    p.add_argument("--tag", type=int, default=1)
+    p.add_argument("--tag", type=non_negative, default=1)
     p.add_argument("--vector", type=int, default=0)
     p.set_defaults(fn=cmd_agf)
 
@@ -509,17 +526,17 @@ def build_parser():
 
     p = sub.add_parser("legendre", help="certify the per-fiber period-symbol product")
     common(p, trunc=True, example=True)
-    p.add_argument("--deg", type=int, default=DEFAULT_DEG)
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    p.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
+    p.add_argument("--deg", type=positive, default=DEFAULT_DEG)
+    p.add_argument("--height", type=non_negative, default=DEFAULT_HEIGHT)
+    p.add_argument("--margin", type=non_negative, default=DEFAULT_MARGIN)
     p.add_argument("--require-pass", action="store_true")
     p.set_defaults(fn=cmd_legendre)
 
     p = sub.add_parser("relhunt", help="bounded-height relation detection")
     p.add_argument("--values", required=True)
-    p.add_argument("--deg", type=int, default=DEFAULT_DEG)
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    p.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
+    p.add_argument("--deg", type=positive, default=DEFAULT_DEG)
+    p.add_argument("--height", type=non_negative, default=DEFAULT_HEIGHT)
+    p.add_argument("--margin", type=non_negative, default=DEFAULT_MARGIN)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--require-pass", action="store_true")
@@ -543,7 +560,7 @@ def main(argv=None):
     except (PoleArgument, UsageError) as ex:
         print(f"invalid argument: {ex}", file=sys.stderr)
         return 2
-    except FileNotFoundError as ex:
+    except (FileNotFoundError, ModelLoadFailure) as ex:
         print(f"model load failure: {ex}", file=sys.stderr)
         return 5
     except CMPeriodsError as ex:

@@ -18,7 +18,7 @@ u(t) = t, so nu = w = theta.  h is built once, in W[y]; folding it through
 y^E = u(t) gives its coordinates on the basis 1, y, .., y^(E-1).  The
 motive is the coordinate ring with sigma acting by m -> h * twist(m);
 its matrix on the fixed basis, the sigma-ideal identity (read off that
-matrix), Hodge-Pink weights (by exact Smith reduction at t - theta),
+matrix), Hodge-Pink weights (from the t - theta valuations of its minors),
 eigen-differentials and period symbols are computed here.  Tensor
 products are the motives of summed divisors.
 """
@@ -26,6 +26,7 @@ products are the motives of summed divisors.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from .arith import (
     FPoly,
@@ -486,15 +487,11 @@ class DualMotive:
         self.sigma_exponents = sigma_exponents
         self.rank = len(phi)
 
-    def det_phi(self):
-        return det(self.phi)
-
     def check_invariants(self):
         """det Phi = c (t-theta)^(deg Xi), c nonzero; rank = [K:F_q(t)]."""
-        det = self.det_phi()
         n = self.xi.degree()
         tt = t_minus_theta(self.ring)
-        quot = det
+        quot = det(self.phi)
         for _ in range(n):
             quot, rem = quot.divmod(tt)
             if not rem.is_zero():
@@ -596,89 +593,50 @@ def sigma_ideal_check(motive: DualMotive):
     phi = motive.phi
     h_y = _unfold(phi[0] if motive.pair.component is None else [phi[0][-1]], u_t)
     expected, _ = _linear_factors(motive.model, motive.xi)
-    q1, r1 = h_y.divmod(expected)
-    q2, r2 = expected.divmod(h_y) if not h_y.is_zero() else (None, None)
-    both = r1.is_zero() and r2 is not None and r2.is_zero()
-    return {"pass": bool(both and q1.deg == 0), "generator_degree": h_y.deg}
+    # h_y = c * expected with c a nonzero constant is associate equality
+    quot, rem = h_y.divmod(expected)
+    return {"pass": rem.is_zero() and quot.deg == 0, "generator_degree": h_y.deg}
 
 
 # ---------------------------------------------------------------------------
-# Hodge-Pink weights via exact Smith reduction
-
-
-def _smith_tdeg(mat):
-    """Elementary divisors of a WPoly matrix over the PID W[t]."""
-    m = [[c for c in row] for row in mat]
-    n = len(m)
-    divisors = []
-    top = 0
-    while top < n:
-        # find the nonzero entry of least t-degree in the submatrix
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if not m[i][j].is_zero():
-                    if best is None or m[i][j].deg < m[best[0]][best[1]].deg:
-                        best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = m[top][top]
-        done = True
-        for i in range(top + 1, n):
-            q, r = m[i][top].divmod(pivot)
-            if not q.is_zero() or not r.is_zero():
-                for j in range(top, n):
-                    m[i][j] = m[i][j] - q * m[top][j]
-                if not r.is_zero():
-                    done = False
-        for j in range(top + 1, n):
-            q, r = m[top][j].divmod(pivot)
-            if not q.is_zero() or not r.is_zero():
-                for i in range(top, n):
-                    m[i][j] = m[i][j] - m[i][top] * q
-                if not r.is_zero():
-                    done = False
-        if not done:
-            continue
-        off = False
-        for i in range(top + 1, n):
-            if not m[i][top].is_zero():
-                off = True
-        for j in range(top + 1, n):
-            if not m[top][j].is_zero():
-                off = True
-        if off:
-            continue
-        divisors.append(pivot)
-        top += 1
-    return divisors
+# Hodge-Pink weights from determinantal divisors
 
 
 def hodge_pink_weights(motive: DualMotive):
     """Elementary-divisor exponents of M/sigma M at (t - theta), negated.
 
+    Over the PID W[t] the k-th determinantal divisor of Phi, the gcd of
+    its k x k minors, is the product of its first k elementary divisors.
+    So with m_k the least (t - theta)-valuation of a nonzero k x k minor
+    and m_0 = 0, the k-th divisor has exponent m_k - m_(k-1).  A k x k
+    minor expands along a row in (k-1) x (k-1) minors, so m_k >= m_(k-1):
+    a minor of valuation m_(k-1) settles m_k and ends the scan.  Phi is
+    nonsingular (check_invariants), so every k has a nonzero minor.
+
     Returns the sorted weight list, one entry per basis element (weight 0
     for trivial divisors).
     """
-    divs = _smith_tdeg(motive.phi)
+    phi = motive.phi
     tt = t_minus_theta(motive.ring)
-    weights = []
-    for d in divs:
-        v = 0
-        cur = d
-        while True:
-            q, r = cur.divmod(tt)
-            if r.is_zero():
-                v += 1
-                cur = q
-            else:
+    idx = range(motive.rank)
+    weights, prev = [], 0
+    for k in range(1, motive.rank + 1):
+        least = None
+        for rows, cols in product(combinations(idx, k), repeat=2):
+            minor = det([[phi[i][j] for j in cols] for i in rows])
+            if minor.is_zero():
+                continue
+            v = 0
+            while v != least:
+                quot, rem = minor.divmod(tt)
+                if not rem.is_zero():
+                    break
+                minor, v = quot, v + 1
+            least = v
+            if least == prev:
                 break
-        weights.append(-v)
-    weights += [0] * (motive.rank - len(weights))
+        weights.append(prev - least)
+        prev = least
     return sorted(weights)
 
 

@@ -203,10 +203,20 @@ def test_flags_only_where_read():
         (["agf", "--example", "kummer-t:3", "--prec", "60", "--trunc", "8", "--vector", "-1"], "--vector"),
         (["periods", "--example", "carlitz", "--prec", "40", "--trunc", "0"], "--trunc"),
         (["omega", "--prec", "40", "--trunc", "0"], "--trunc"),
+        (["legendre", "--example", "carlitz", "--prec", "60", "--trunc", "8", "--deg", "0"], "--deg"),
+        (["relhunt", "--values", "values.json", "--height", "-1"], "--height"),
+        (["legendre", "--example", "carlitz", "--prec", "60", "--trunc", "8", "--height", "-2"], "--height"),
+        (["legendre", "--example", "carlitz", "--prec", "60", "--trunc", "8", "--margin", "-1"], "--margin"),
+        (["periods", "--example", "carlitz", "--prec", "-3"], "--prec"),
+        (["qp", "--example", "carlitz", "--prec", "-3"], "--prec"),
+        (["pitilde", "--prec", "-5"], "--prec"),
+        (["agf", "--example", "carlitz", "--prec", "60", "--trunc", "8", "--tag", "-1"], "--tag"),
     ],
     ids=["xi-multiplicity", "xi-label", "xi0-label", "x-exponent", "x-over-zero", "x-thetafoo", "x-thetaxyz",
          "x-2theta3", "vector-past-rank",
-         "vector-negative", "periods-trunc-0", "omega-trunc-0"],
+         "vector-negative", "periods-trunc-0", "omega-trunc-0", "legendre-deg-0", "relhunt-height-negative",
+         "legendre-height-negative", "legendre-margin-negative", "periods-prec-negative", "qp-prec-negative",
+         "pitilde-prec-negative", "agf-tag-negative"],
 )
 def test_bad_input_is_a_usage_error(capsys, args, flag):
     # the message names the flag; input that only a computed object can
@@ -216,8 +226,27 @@ def test_bad_input_is_a_usage_error(capsys, args, flag):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert "Traceback" not in err and flag in err.splitlines()[-1]
-    if flag != "--trunc":
+    if flag not in ("--trunc", "--prec", "--deg", "--height", "--margin", "--tag"):
         assert err.startswith("invalid argument:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        json.dumps({"kind": "monogenic", "q": 3, "u_coeffs": [0, 2]}),
+        json.dumps({"kind": "weird", "q": 3}),
+        json.dumps({"E": 2, "kind": "monogenic", "q": 6, "u_coeffs": [0, 2]}),
+    ],
+    ids=["not-json", "monogenic-without-E", "unknown-kind", "q-not-a-prime-power"],
+)
+def test_malformed_model_file_is_a_load_failure(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out = run_cli(["cm", "validate", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 5 and out == ""
+    assert err.startswith("model load failure:") and err.count("\n") == 1
 
 
 def test_const_ext_3_is_a_cli_example(tmp_path):
