@@ -610,7 +610,8 @@ def hodge_pink_weights(motive: DualMotive):
     So with m_k the least (t - theta)-valuation of a nonzero k x k minor
     and m_0 = 0, the k-th divisor has exponent m_k - m_(k-1).  A k x k
     minor expands along a row in (k-1) x (k-1) minors, so m_k >= m_(k-1):
-    a minor of valuation m_(k-1) settles m_k and ends the scan.  Phi is
+    a minor of valuation m_(k-1) settles m_k and ends the scan, and no
+    minor is divided past the least valuation found so far.  Phi is
     nonsingular (check_invariants), so every k has a nonzero minor.
 
     Returns the sorted weight list, one entry per basis element (weight 0
