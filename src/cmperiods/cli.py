@@ -442,9 +442,14 @@ def cmd_relhunt(args, t0):
     try:
         with open(args.values) as fh:
             data = json.load(fh)
+        if not isinstance(data, list) or not data or not all(isinstance(obj, dict) for obj in data):
+            raise ValueError(f"{args.values}: not a non-empty JSON list of series objects")
         values = [InfElem.from_json(obj) for obj in data]
-    except ValueError as ex:
+    except (OSError, ValueError, TypeError) as ex:
         print(f"invalid values file: {ex}", file=sys.stderr)
+        return 2
+    except KeyError as ex:
+        print(f"invalid values file: {args.values}: a series without the field {ex}", file=sys.stderr)
         return 2
     config = {"deg": args.deg, "height": args.height, "margin": args.margin, "values": len(values)}
     certs = []

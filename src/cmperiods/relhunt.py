@@ -6,8 +6,10 @@ through the precision window is F_p-linear algebra.  The columns of
 theta^h v_i are shifts of one digit string per value, so the kernel
 comes from an order basis: a reduction of the F_p[theta^-1]-module of
 relations that hold through each window row in turn (Beckermann-Labahn,
-SIAM J. Matrix Anal. Appl. 15, 1994), not of a lattice over Z.  Rows are
-byte-packed and eliminated with C-speed integer arithmetic.
+SIAM J. Matrix Anal. Appl. 15, 1994), not of a lattice over Z.  Each row
+is one Python int with a byte lane per entry, kept as an int through the
+whole elimination: lanes add mod p by one big-int sum and a guard-bit
+correction, so every step runs at C speed.
 
 Certificates are evidence, not proofs: every output carries its bounds
 (monomial degree D, coefficient height H, margin M, precision),
@@ -22,8 +24,9 @@ from fractions import Fraction
 from .errors import CMPeriodsError, InsufficientPrecision
 from .infinity import InfElem, align_all
 
-# each row update of the order basis and of its echelon form adds c * base
-# to an entry in one byte lane: up to (p - 1)^2 + (p - 1) = p(p - 1),
+# the byte lanes of _lane_add hold any p <= 127; the search stops at 13
+# because the reference it is tested against, _kernel_mod_p in
+# tests/test_relhunt.py, adds c * base in one byte lane, up to p(p - 1),
 # which stays below 256 only for p <= 13
 KERNEL_P_MAX = 13
 
@@ -56,10 +59,30 @@ def _system(values, H):
     return values, fld, e, kmin, kmax, basis, (kmax - kmin) * fld.n, len(values) * (H + 1) * len(basis)
 
 
-def _axpy(x, c, y, width, tbl):
-    """x + c*y over F_p, lane by lane: byte strings of the given width."""
-    num = int.from_bytes(x, "little") + c * int.from_bytes(y, "little")
-    return num.to_bytes(width, "little").translate(tbl)
+def _lane_add(p, width):
+    """x + y over F_p, lane by lane: ints with one byte lane per entry.
+
+    Lanes below p sum to at most 2p - 2 with no carry out of the lane, and
+    adding 128 - p sets a lane's top bit exactly when its sum reaches p;
+    that guard bit, moved to the lane's foot, says where to take p off.
+    Exact for p <= 127 on ints of at most width lanes.
+    """
+    ones = int.from_bytes(b"\1" * width, "little")
+    guard = (128 - p) * ones
+
+    def add(x, y):
+        s = x + y
+        return s - p * (((s + guard) >> 7) & ones)
+
+    return add
+
+
+def _multiples(y, p, add):
+    """[0, y, 2y, ..., (p - 1)y] over F_p, each by one lane addition."""
+    out = [0, y]
+    for _ in range(p - 2):
+        out.append(add(out[-1], y))
+    return out
 
 
 def _order_basis(strings, a, H, shift, nrows, p):
@@ -74,50 +97,56 @@ def _order_basis(strings, a, H, shift, nrows, p):
     by a shift of shift bytes: the system is a Hermite-Pade problem over
     F_p[y].
 
-    Row g starts as theta^H eps_s v_i at degree 0: a byte string, its
-    window residual followed by its unit part.  The window rows are met
-    from the lowest up.  At row r, the live row of least degree that is
-    nonzero there eliminates r from the other rows, and is then
-    multiplied by y (residual up shift bytes, unit part down a lanes,
-    degree + 1), or dropped at degree H.  Rows of higher degree never act
-    on rows of lower degree, so the live rows stay an order basis,
-    reduced in the degree, of the relations of degree <= H in y
-    (Beckermann-Labahn 1994).  The unit parts of y^t P, for each live row
-    P of degree d and t = 0 .. H - d, are a basis of the kernel.
+    Row g starts as theta^H eps_s v_i at degree 0: one int read from its
+    string once, byte lane r its window residual at row r below nrows and
+    its unit part above.  The window rows are met from the lowest up.  At
+    row r, the live row of least degree that is nonzero there eliminates
+    r from the other rows with its multiples, built once per step by
+    _lane_add, and is then multiplied by y (residual up shift lanes, unit
+    part down a lanes, degree + 1), or dropped at degree H.  Rows of
+    higher degree never act on rows of lower degree, so the live rows
+    stay an order basis, reduced in the degree, of the relations of
+    degree <= H in y (Beckermann-Labahn 1994).  The unit parts of y^t P,
+    for each live row P of degree d and t = 0 .. H - d, are a basis of
+    the kernel, the only rows turned back into bytes.
     """
     ncols = len(strings) * (H + 1)
-    width = nrows + ncols
-    lift = min(shift, nrows)
-    tbl = bytes(i % p for i in range(256))
+    add = _lane_add(p, nrows + ncols)
+    lift = 8 * min(shift, nrows)
+    keep = (1 << 8 * nrows - lift) - 1  # the residual lanes y keeps
 
-    def low(buf):
+    def low(x):
         # the first nonzero residual row, nrows when the residual is zero
-        return min(width - len(buf.lstrip(b"\0")), nrows)
+        return min(((x & -x).bit_length() - 1) >> 3, nrows)
 
     rows = []
     for g, s in enumerate(strings):
         col = (g // a * (H + 1) + H) * a + g % a
-        buf = s[H * shift: H * shift + nrows] + bytes(col) + b"\1" + bytes(ncols - col - 1)
-        rows.append([buf, 0, low(buf)])
+        x = int.from_bytes(s[H * shift: H * shift + nrows], "little") | 1 << 8 * (nrows + col)
+        rows.append([x, 0, low(x)])
     while rows:
         r = min(row[2] for row in rows)
         if r >= nrows:
             break
         hits = [row for row in rows if row[2] == r]
         piv = min(hits, key=lambda row: row[1])
-        buf = piv[0]
-        inv = pow(buf[r], p - 2, p)
-        for row in hits:
-            if row is not piv:
-                row[0] = _axpy(row[0], (p - row[0][r]) * inv % p, buf, width, tbl)
-                row[2] = low(row[0])
+        x = piv[0]
+        if len(hits) > 1:
+            inv = pow(x >> 8 * r & 255, p - 2, p)
+            mults = _multiples(x, p, add)
+            for row in hits:
+                if row is not piv:
+                    row[0] = add(row[0], mults[(p - (row[0] >> 8 * r & 255)) * inv % p])
+                    row[2] = low(row[0])
         if piv[1] == H:
             rows.remove(piv)
         else:
-            piv[0] = bytes(lift) + buf[: nrows - lift] + buf[nrows + a:] + bytes(a)
+            piv[0] = (x & keep) << lift | x >> 8 * (nrows + a) << 8 * nrows
             piv[1] += 1
             piv[2] = min(r + shift, nrows)
-    return [buf[nrows + t * a:] + bytes(t * a) for buf, d, _ in rows for t in range(H - d + 1)]
+    return [
+        (x >> 8 * (nrows + t * a)).to_bytes(ncols, "little") for x, d, _ in rows for t in range(H - d + 1)
+    ]
 
 
 def _canonical_kernel(generators, p):
@@ -126,27 +155,41 @@ def _canonical_kernel(generators, p):
     Leads are taken at the highest index: for each lead j, in ascending
     order, the vector with 1 at j and 0 at every other lead and past j.
     That basis is unique, so it does not depend on the generators.  An
-    echelon form is built first; each vector is reduced only as it is
-    yielded.  The generators must be linearly independent.
+    echelon form is built first, in ints of one byte lane per entry that
+    add by _lane_add, each lead the top lane that bit_length finds; each
+    vector is reduced only as it is yielded.  The generators must be
+    linearly independent.
     """
     if not generators:
         return
     width = len(generators[0])
-    tbl = bytes(i % p for i in range(256))
-    echelon = {}
+    add = _lane_add(p, width)
+    echelon = {}  # lead -> the multiples of its vector, 1 at the lead
     for vec in generators:
-        lead = len(vec.rstrip(b"\0")) - 1
+        x = int.from_bytes(vec, "little")
+        lead = (x.bit_length() - 1) >> 3
         while lead in echelon:
-            vec = _axpy(vec, p - vec[lead], echelon[lead], width, tbl)
-            lead = len(vec.rstrip(b"\0")) - 1
-        echelon[lead] = _axpy(bytes(width), pow(vec[lead], p - 2, p), vec, width, tbl)
-    leads = sorted(echelon)
-    for n, j in enumerate(leads):
-        vec = echelon[j]
-        for lead in reversed(leads[:n]):
-            if vec[lead]:
-                vec = _axpy(vec, p - vec[lead], echelon[lead], width, tbl)
-        yield vec
+            x = add(x, echelon[lead][p - (x >> 8 * lead)])
+            lead = (x.bit_length() - 1) >> 3
+        mults = _multiples(x, p, add)
+        inv = pow(x >> 8 * lead, p - 2, p)
+        echelon[lead] = [mults[k * inv % p] for k in range(p)]
+    # a reduced vector is 0 at every other lead, so taking it off changes
+    # no other lead: a vector's coefficients are its own lanes at the leads
+    # below its lead, masked out once and met from the top
+    reduced = {}
+    leads = 0
+    for j in sorted(echelon):
+        x = echelon[j][1]
+        coeffs = x & leads
+        while coeffs:
+            lead = (coeffs.bit_length() - 1) >> 3
+            c = coeffs >> 8 * lead
+            x = add(x, reduced[lead][p - c])
+            coeffs -= c << 8 * lead
+        reduced[j] = _multiples(x, p, add)
+        leads |= 255 << 8 * j
+        yield x.to_bytes(width, "little")
 
 
 def _relations(values, H, margin):
@@ -165,21 +208,36 @@ def _relations(values, H, margin):
             f"search space {ncols} exceeds precision rows {nrows} - margin {margin}"
         )
     # the column of theta^h eps v_i is the digit string of eps v_i read
-    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps);
-    # over a prime field (basis [1]) each coefficient is its own digit
+    # h*e exponents higher: one string over kmin .. kmax + H*e per (i, eps)
     n = fld.n
     top = kmax + H * e
     strings = []
-    for v in values:
-        for eps in basis:
-            digits = bytearray((top - kmin) * n)
+    if fld.size <= 256:
+        # each value once as a string of element codes; eps scales it by one
+        # translate, each digit plane is one more, and the planes interleave
+        # by extended-slice assignment
+        elems = range(fld.size)
+        scales = [bytes(fld.mul(eps, c) for c in elems).ljust(256, b"\0") for eps in basis]
+        planes = [bytes(fld.digits(c)[j] for c in elems).ljust(256, b"\0") for j in range(n)]
+        for v in values:
+            codes = bytearray(top - kmin)
             for x, c in v.coeffs.items():
                 if x < top:
-                    if n == 1:
-                        digits[x - kmin] = c
-                    else:
+                    codes[x - kmin] = c
+            for scale in scales:
+                scaled = codes.translate(scale)
+                digits = bytearray((top - kmin) * n)
+                for j, plane in enumerate(planes):
+                    digits[j::n] = scaled.translate(plane)
+                strings.append(digits)
+    else:
+        for v in values:
+            for eps in basis:
+                digits = bytearray((top - kmin) * n)
+                for x, c in v.coeffs.items():
+                    if x < top:
                         digits[(x - kmin) * n: (x - kmin + 1) * n] = fld.digits(fld.mul(eps, c))
-            strings.append(bytes(digits))
+                strings.append(digits)
     threshold = Fraction(kmax, e) - margin
     for vec in _canonical_kernel(_order_basis(strings, len(basis), H, e * n, nrows, fld.p), fld.p):
         coeffs = _vec_to_polys(vec, H, fld, basis)

@@ -86,13 +86,29 @@ def test_relhunt_refuses_a_series_outside_theta(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["[{\"q\": 3,", "not json at all", ""], ids=["truncated", "text", "empty"]
+    "text",
+    ["[{\"q\": 3,", "not json at all", "", "[{\"x\": 1}]", "[1]", "{\"a\": 1}", "[]"],
+    ids=["truncated", "text", "empty", "object-without-series-fields", "number", "not-a-list", "no-values"],
 )
 def test_relhunt_values_file_that_is_not_json_is_a_usage_error(tmp_path, capsys, text):
     code, out = run_cli(_relhunt_values(tmp_path, "bad.json", text))
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("invalid values file:") and err.count("\n") == 1
+
+
+def test_missing_values_file_is_a_usage_error(tmp_path, capsys):
+    # relhunt reads no model: a values file that is not there is bad input,
+    # while a missing --model file stays a model load failure
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(["relhunt", "--values", missing])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("invalid values file:") and err.count("\n") == 1 and "missing.json" in err
+    code, out = run_cli(["cm", "validate", "--model", missing])
+    err = capsys.readouterr().err
+    assert code == 5 and out == ""
+    assert err.startswith("model load failure:") and err.count("\n") == 1
 
 
 def test_gamma_pole_exit_code():

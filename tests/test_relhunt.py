@@ -9,6 +9,7 @@ from cmperiods.infinity import InfElem, inf_nth_root
 from cmperiods.relhunt import (
     KERNEL_P_MAX,
     _canonical_kernel,
+    _lane_add,
     _order_basis,
     _powers,
     _subfield_basis,
@@ -118,8 +119,8 @@ def test_duplicate_detected():
 
 
 def test_prime_limit_of_the_byte_kernel():
-    # byte lanes carry past p = 13: the search refuses larger primes
-    # instead of missing the relation
+    # the reference kernel's byte lanes carry past p = 13: the search
+    # refuses larger primes instead of answering unchecked
     for p, ok in [(13, True), (31, False)]:
         fld = Fq.get(p, 1, 1)
         rng = random.Random(p)
@@ -222,6 +223,37 @@ def test_kernel_against_naive_elimination():
             for vec in kernel:
                 assert all(sum(v * col[i] for v, col in zip(vec, columns)) % p == 0 for i in range(nrows))
             assert kernel == _kernel_mod_p(columns, nrows, p)
+
+
+def test_lane_add_is_addition_mod_p_in_every_lane():
+    # every pair of lanes below p, packed into one int with a nonzero lane
+    # at its top, adds as (x + y) % p with nothing carried between lanes;
+    # 127 is the largest p the guard bit holds
+    for p in (2, 3, 5, 7, 11, 13, 127):
+        pairs = [(x, y) for x in range(p) for y in range(p)] + [(p - 1, p - 1)]
+        xs, ys = bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
+        add = _lane_add(p, len(pairs))
+        total = add(int.from_bytes(xs, "little"), int.from_bytes(ys, "little"))
+        assert total.to_bytes(len(pairs), "little") == bytes((x + y) % p for x, y in pairs)
+
+
+@pytest.mark.parametrize("p, a, m", [(3, 2, 1), (5, 2, 2)], ids=["F9-translate", "F625-per-coefficient"])
+def test_planted_query_matches_the_reference_on_both_string_paths(p, a, m):
+    # digit strings are built by translate in fields of at most 256
+    # elements and coefficient by coefficient past that
+    fld = Fq.get(p, a, m)
+    assert fld.n > 1 and (fld.size > 256) == (m == 2)
+    rng = random.Random(p * m)
+    H, e = 3, 2
+    values = [rand_series(rng, fld, prec=80, e=e) for _ in range(2)]
+    acc = None
+    for v in values:
+        cs = {-h * e: _fq_element(rng, fld) for h in range(H + 1)}
+        term = InfElem(fld, e, cs, 90) * v
+        acc = term if acc is None else acc + term
+    values.append(acc)
+    rels = find_linear_relations(values, H, margin=10)
+    assert rels and rels == _reference_relations(values, H, margin=10)
 
 
 def test_no_relation_for_ramified_element():
