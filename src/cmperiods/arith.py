@@ -153,6 +153,8 @@ class Fq:
         if fld is None:
             if p ** a > DESK_Q_MAX:
                 raise ValueError("q exceeds the desk-scale bound 2^16")
+            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+                raise ValueError(f"p = {p} is not a prime")
             if len(modulus) - 1 != a * m or modulus[-1] != 1:
                 raise ValueError("modulus degree must be a*m and monic")
             if not is_irreducible(p, modulus):
@@ -347,6 +349,9 @@ class Fq:
         return self._encode(acc)
 
     def from_digits(self, digits):
+        """Element from a digit vector of length at most n."""
+        if len(digits) > self.n:
+            raise ValueError(f"{len(digits)} digits for an element of {self!r}, which has {self.n}")
         return self._encode([d % self.p for d in digits]) if digits else 0
 
     def scalar(self, c):

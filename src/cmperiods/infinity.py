@@ -397,6 +397,8 @@ class InfElem:
     def from_json(obj):
         if obj.get("var", "theta") != "theta":
             raise ValueError(f"series in {obj['var']!r}, not in theta")
+        if not isinstance(obj["e"], int) or obj["e"] < 1:
+            raise ValueError(f"ramification e = {obj['e']!r}, not a positive integer")
         f = Fq.get(obj["p"], obj["a"], obj["m"], tuple(obj["modulus"]))
         coeffs = {int(k): f.from_digits(d) for k, d in obj["coeffs"]}
         return InfElem(f, obj["e"], coeffs, obj["prec_N"])

@@ -20,11 +20,12 @@ re-verified by direct substitution before it is reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CMPeriodsError, InsufficientPrecision
 from .infinity import InfElem, align_all
 
-# the byte lanes of _lane_add hold any p <= 127; the search stops at 13
+# the byte lanes of _lanes hold any p <= 127; the search stops at 13
 # because the reference it is tested against, _kernel_mod_p in
 # tests/test_relhunt.py, adds c * base in one byte lane, up to p(p - 1),
 # which stays below 256 only for p <= 13
@@ -59,30 +60,50 @@ def _system(values, H):
     return values, fld, e, kmin, kmax, basis, (kmax - kmin) * fld.n, len(values) * (H + 1) * len(basis)
 
 
-def _lane_add(p, width):
-    """x + y over F_p, lane by lane: ints with one byte lane per entry.
+@lru_cache(maxsize=None)
+def _scale_tables(p):
+    """The translate tables of i -> c*i mod p, one for each c < p."""
+    return [bytes(c * i % p for i in range(256)) for c in range(p)]
 
-    Lanes below p sum to at most 2p - 2 with no carry out of the lane, and
-    adding 128 - p sets a lane's top bit exactly when its sum reaches p;
-    that guard bit, moved to the lane's foot, says where to take p off.
-    Exact for p <= 127 on ints of at most width lanes.
+
+def _lanes(p, width):
+    """(add, times): x + y and c*y over F_p, lane by lane, on ints with one
+    byte lane per entry, at most width lanes, each below p.
+
+    add(x, y): lanes below p sum to at most 2p - 2 with no carry out of the
+    lane, and adding 128 - p sets a lane's top bit exactly when its sum
+    reaches p; that guard bit, moved to the lane's foot, says where to take
+    p off.  Exact for p <= 127.
+
+    times(c, mults), 0 < c < p: mults holds y at 1 and the multiples of y
+    built so far.  A missing one is built once and kept there: 2y by one
+    add, any other by one translate of y's bytes, made once and kept at 0.
+    So a step builds only the multiples it uses, at a cost that does not
+    grow with p.
     """
     ones = int.from_bytes(b"\1" * width, "little")
     guard = (128 - p) * ones
+    scales = _scale_tables(p)
 
     def add(x, y):
         s = x + y
         return s - p * (((s + guard) >> 7) & ones)
 
-    return add
+    def times(c, mults):
+        x = mults.get(c)
+        if x is None:
+            y = mults[1]
+            if c == 2:
+                x = add(y, y)
+            else:
+                raw = mults.get(0)
+                if raw is None:
+                    raw = mults[0] = y.to_bytes(width, "little")
+                x = int.from_bytes(raw.translate(scales[c]), "little")
+            mults[c] = x
+        return x
 
-
-def _multiples(y, p, add):
-    """[0, y, 2y, ..., (p - 1)y] over F_p, each by one lane addition."""
-    out = [0, y]
-    for _ in range(p - 2):
-        out.append(add(out[-1], y))
-    return out
+    return add, times
 
 
 def _order_basis(strings, a, H, shift, nrows, p):
@@ -101,17 +122,18 @@ def _order_basis(strings, a, H, shift, nrows, p):
     string once, byte lane r its window residual at row r below nrows and
     its unit part above.  The window rows are met from the lowest up.  At
     row r, the live row of least degree that is nonzero there eliminates
-    r from the other rows with its multiples, built once per step by
-    _lane_add, and is then multiplied by y (residual up shift lanes, unit
-    part down a lanes, degree + 1), or dropped at degree H.  Rows of
-    higher degree never act on rows of lower degree, so the live rows
-    stay an order basis, reduced in the degree, of the relations of
-    degree <= H in y (Beckermann-Labahn 1994).  The unit parts of y^t P,
-    for each live row P of degree d and t = 0 .. H - d, are a basis of
-    the kernel, the only rows turned back into bytes.
+    r from the other rows with the multiples of it that they need, each
+    built once per step by _lanes, and is then multiplied by y (residual
+    up shift lanes, unit part down a lanes, degree + 1), or dropped at
+    degree H.  Rows of higher degree never act on rows of lower degree,
+    so the live rows stay an order basis, reduced in the degree, of the
+    relations of degree <= H in y (Beckermann-Labahn 1994).  The unit
+    parts of y^t P, for each live row P of degree d and t = 0 .. H - d,
+    are a basis of the kernel.
     """
     ncols = len(strings) * (H + 1)
-    add = _lane_add(p, nrows + ncols)
+    width = nrows + ncols
+    add, times = _lanes(p, width)
     lift = 8 * min(shift, nrows)
     keep = (1 << 8 * nrows - lift) - 1  # the residual lanes y keeps
 
@@ -133,10 +155,10 @@ def _order_basis(strings, a, H, shift, nrows, p):
         x = piv[0]
         if len(hits) > 1:
             inv = pow(x >> 8 * r & 255, p - 2, p)
-            mults = _multiples(x, p, add)
+            mults = {1: x}
             for row in hits:
                 if row is not piv:
-                    row[0] = add(row[0], mults[(p - (row[0] >> 8 * r & 255)) * inv % p])
+                    row[0] = add(row[0], times((p - (row[0] >> 8 * r & 255)) * inv % p, mults))
                     row[2] = low(row[0])
         if piv[1] == H:
             rows.remove(piv)
@@ -156,24 +178,22 @@ def _canonical_kernel(generators, p):
     order, the vector with 1 at j and 0 at every other lead and past j.
     That basis is unique, so it does not depend on the generators.  An
     echelon form is built first, in ints of one byte lane per entry that
-    add by _lane_add, each lead the top lane that bit_length finds; each
-    vector is reduced only as it is yielded.  The generators must be
+    add and scale by _lanes, each lead the top lane that bit_length finds;
+    each vector is reduced only as it is yielded.  The generators must be
     linearly independent.
     """
     if not generators:
         return
     width = len(generators[0])
-    add = _lane_add(p, width)
-    echelon = {}  # lead -> the multiples of its vector, 1 at the lead
+    add, times = _lanes(p, width)
+    echelon = {}  # lead -> the multiples built of its vector, 1 at the lead
     for vec in generators:
         x = int.from_bytes(vec, "little")
         lead = (x.bit_length() - 1) >> 3
         while lead in echelon:
-            x = add(x, echelon[lead][p - (x >> 8 * lead)])
+            x = add(x, times(p - (x >> 8 * lead), echelon[lead]))
             lead = (x.bit_length() - 1) >> 3
-        mults = _multiples(x, p, add)
-        inv = pow(x >> 8 * lead, p - 2, p)
-        echelon[lead] = [mults[k * inv % p] for k in range(p)]
+        echelon[lead] = {1: times(pow(x >> 8 * lead, p - 2, p), {1: x})}
     # a reduced vector is 0 at every other lead, so taking it off changes
     # no other lead: a vector's coefficients are its own lanes at the leads
     # below its lead, masked out once and met from the top
@@ -185,9 +205,9 @@ def _canonical_kernel(generators, p):
         while coeffs:
             lead = (coeffs.bit_length() - 1) >> 3
             c = coeffs >> 8 * lead
-            x = add(x, reduced[lead][p - c])
+            x = add(x, times(p - c, reduced[lead]))
             coeffs -= c << 8 * lead
-        reduced[j] = _multiples(x, p, add)
+        reduced[j] = {1: x}
         leads |= 255 << 8 * j
         yield x.to_bytes(width, "little")
 

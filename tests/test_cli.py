@@ -85,10 +85,28 @@ def test_relhunt_refuses_a_series_outside_theta(tmp_path, capsys):
     assert err.count("\n") == 1 and "not in theta" in err
 
 
+_F9_SERIES = {"p": 3, "a": 2, "m": 1, "modulus": [1, 0, 1], "e": 1, "coeffs": [[0, [1, 0]]], "prec_N": 10}
+
+
 @pytest.mark.parametrize(
     "text",
-    ["[{\"q\": 3,", "not json at all", "", "[{\"x\": 1}]", "[1]", "{\"a\": 1}", "[]"],
-    ids=["truncated", "text", "empty", "object-without-series-fields", "number", "not-a-list", "no-values"],
+    [
+        "[{\"q\": 3,",
+        "not json at all",
+        "",
+        "[{\"x\": 1}]",
+        "[1]",
+        "{\"a\": 1}",
+        "[]",
+        # three digits over F_9 would read as the code 25, past the field
+        json.dumps([dict(_F9_SERIES, coeffs=[[0, [1, 2, 2]]])]),
+        json.dumps([dict(_F9_SERIES, p=4, a=1, modulus=[0, 1], coeffs=[[0, [2]]])]),
+        json.dumps([dict(_F9_SERIES, e=0)]),
+    ],
+    ids=[
+        "truncated", "text", "empty", "object-without-series-fields", "number", "not-a-list", "no-values",
+        "digits-past-the-field", "p-not-prime", "e-zero",
+    ],
 )
 def test_relhunt_values_file_that_is_not_json_is_a_usage_error(tmp_path, capsys, text):
     code, out = run_cli(_relhunt_values(tmp_path, "bad.json", text))

@@ -332,6 +332,20 @@ def test_from_json_drops_zero_digits_and_digits_past_precision():
     assert z.coeffs == {} and z.prec == 12 and z.to_json()["leading_exponent"] is None
 
 
+def test_from_json_refuses_what_is_not_a_series_over_a_field():
+    # more digits than the field has, a prime power taken for p, and a
+    # ramification below 1 are refused where they are read
+    obj = InfElem(F9, 2, {0: 1}, 12).to_json()
+    for bad in (
+        dict(obj, coeffs=[[0, [1, 2, 2]]]),
+        dict(obj, p=4, a=1, modulus=[0, 1], coeffs=[[0, [2]]]),
+        dict(obj, e=0),
+    ):
+        with pytest.raises(ValueError):
+            InfElem.from_json(bad)
+    assert InfElem.from_json(dict(obj, coeffs=[[0, [1]]])).coeffs == {0: 1}
+
+
 # -- InfElem's coefficient loops against per-coefficient references ---------
 
 F4 = Fq.get(2, 1, 2)

@@ -9,7 +9,7 @@ from cmperiods.infinity import InfElem, inf_nth_root
 from cmperiods.relhunt import (
     KERNEL_P_MAX,
     _canonical_kernel,
-    _lane_add,
+    _lanes,
     _order_basis,
     _powers,
     _subfield_basis,
@@ -225,35 +225,21 @@ def test_kernel_against_naive_elimination():
             assert kernel == _kernel_mod_p(columns, nrows, p)
 
 
-def test_lane_add_is_addition_mod_p_in_every_lane():
+def test_lanes_add_and_scale_mod_p_in_every_lane():
     # every pair of lanes below p, packed into one int with a nonzero lane
-    # at its top, adds as (x + y) % p with nothing carried between lanes;
-    # 127 is the largest p the guard bit holds
+    # at its top, adds as (x + y) % p with nothing carried between lanes,
+    # and every multiple c*y is (c * y) % p lane by lane whichever way it
+    # is built; 127 is the largest p the guard bit holds
     for p in (2, 3, 5, 7, 11, 13, 127):
         pairs = [(x, y) for x in range(p) for y in range(p)] + [(p - 1, p - 1)]
         xs, ys = bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
-        add = _lane_add(p, len(pairs))
+        add, times = _lanes(p, len(pairs))
         total = add(int.from_bytes(xs, "little"), int.from_bytes(ys, "little"))
         assert total.to_bytes(len(pairs), "little") == bytes((x + y) % p for x, y in pairs)
-
-
-@pytest.mark.parametrize("p, a, m", [(3, 2, 1), (5, 2, 2)], ids=["F9-translate", "F625-per-coefficient"])
-def test_planted_query_matches_the_reference_on_both_string_paths(p, a, m):
-    # digit strings are built by translate in fields of at most 256
-    # elements and coefficient by coefficient past that
-    fld = Fq.get(p, a, m)
-    assert fld.n > 1 and (fld.size > 256) == (m == 2)
-    rng = random.Random(p * m)
-    H, e = 3, 2
-    values = [rand_series(rng, fld, prec=80, e=e) for _ in range(2)]
-    acc = None
-    for v in values:
-        cs = {-h * e: _fq_element(rng, fld) for h in range(H + 1)}
-        term = InfElem(fld, e, cs, 90) * v
-        acc = term if acc is None else acc + term
-    values.append(acc)
-    rels = find_linear_relations(values, H, margin=10)
-    assert rels and rels == _reference_relations(values, H, margin=10)
+        mults = {1: int.from_bytes(ys, "little")}
+        for c in range(p - 1, 0, -1):
+            got = times(c, mults).to_bytes(len(pairs), "little")
+            assert got == bytes(c * y % p for y in ys) and times(c, mults) is mults[c]
 
 
 def test_no_relation_for_ramified_element():
@@ -398,6 +384,7 @@ def _outcome(search, values, H, margin):
 def test_relations_match_the_reference_kernel_randomized():
     rng = random.Random(1994)
     guarded = 0
+    searched = set()  # whether the field of a search that ran had > 256 elements
     for _ in range(140):
         p = rng.choice([2, 3, 5, 7, 11, 13])
         a, m, e = rng.choice([1, 2]), rng.choice([1, 2]), rng.choice([1, 2, 3])
@@ -406,7 +393,12 @@ def test_relations_match_the_reference_kernel_randomized():
         want = _outcome(_reference_relations, values, H, margin)
         assert _outcome(find_linear_relations, values, H, margin) == want, (p, a, m, e, H, k)
         guarded += want is InsufficientPrecision
+        if isinstance(want, list):
+            searched.add(Fq.get(p, a, m).size > 256)
     assert 0 < guarded < 70
+    # digit strings are built by translate in fields of at most 256
+    # elements and coefficient by coefficient past that: both ran
+    assert searched == {False, True}
     # past the byte lanes both refuse the same way
     values, margin = _equivalence_case(rng, 17, 1, 1, 1, 3, 3)
     assert _outcome(find_linear_relations, values, 3, margin) is CMPeriodsError
