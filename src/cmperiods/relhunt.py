@@ -77,9 +77,10 @@ def _lanes(p, width):
 
     times(c, mults), 0 < c < p: mults holds y at 1 and the multiples of y
     built so far.  A missing one is built once and kept there: 2y by one
-    add, any other by one translate of y's bytes, made once and kept at 0.
-    So a step builds only the multiples it uses, at a cost that does not
-    grow with p.
+    add, cheaper than a round trip through bytes and all that p = 3 needs,
+    any other by one translate of y's bytes, made once and kept at 0.  So
+    a step builds only the multiples it uses, at a cost that does not grow
+    with p.
     """
     ones = int.from_bytes(b"\1" * width, "little")
     guard = (128 - p) * ones
